@@ -63,7 +63,15 @@ def _print_matrix(label: str, mat: np.ndarray) -> None:
 
 def _size_cap_default() -> int:
     env = os.environ.get("MPSHMM_SIZE_CAP")
-    return int(env) if env else DEFAULT_SIZE_CAP
+    if not env:
+        return DEFAULT_SIZE_CAP
+    try:
+        cap = int(env)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise ValueError(f"MPSHMM_SIZE_CAP must be a positive integer, got {env!r}")
+    return cap
 
 
 def _theta_values(raw: str | None) -> list[float] | None:
@@ -270,6 +278,7 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    size_cap = _size_cap_default()
 
     def add_common(p: argparse.ArgumentParser, out: bool = True) -> None:
         p.add_argument("--format", choices=("table", "json"), default="table")
@@ -294,7 +303,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bm.add_argument("--model", help="model JSON file (tensors derived from it)")
     add_name(p_bm)
     p_bm.add_argument("--sites", type=int, required=True)
-    p_bm.add_argument("--size-cap", type=int, default=_size_cap_default())
+    p_bm.add_argument("--size-cap", type=int, default=size_cap)
     add_common(p_bm)
     p_bm.set_defaults(func=_cmd_build_mps)
 
@@ -303,7 +312,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_name(p_be)
     p_be.add_argument("--n", type=int, required=True)
     p_be.add_argument("--which", choices=("hon", "hn", "on"), default="hon")
-    p_be.add_argument("--size-cap", type=int, default=_size_cap_default())
+    p_be.add_argument("--size-cap", type=int, default=size_cap)
     add_common(p_be)
     p_be.set_defaults(func=_cmd_build_ehmm_state)
 
@@ -314,7 +323,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--N", type=int, required=True, help="number of kept sites")
     p_ver.add_argument("--n", type=_int_list, required=True, help="joint-state lengths, e.g. 3,4,5")
     p_ver.add_argument("--tol", type=float, default=1e-10)
-    p_ver.add_argument("--size-cap", type=int, default=_size_cap_default())
+    p_ver.add_argument("--size-cap", type=int, default=size_cap)
     p_ver.set_defaults(func=_cmd_verify)
 
     p_ex = sub.add_parser("extract", help="classical transition/emission matrices")
@@ -335,7 +344,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_name(p_ent)
     p_ent.add_argument("--N", type=int, required=True)
     p_ent.add_argument("--eps", type=float, default=SUPPORT_EPS)
-    p_ent.add_argument("--size-cap", type=int, default=_size_cap_default())
+    p_ent.add_argument("--size-cap", type=int, default=size_cap)
     add_common(p_ent)
     p_ent.set_defaults(func=_cmd_entropy)
 
@@ -347,9 +356,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

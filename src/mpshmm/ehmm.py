@@ -118,12 +118,17 @@ def validate(model: EhmmModel) -> list[Violation]:
 
     if pi.size != m:
         out.append(Violation("pi", f"length {pi.size} != hidden dim {m}", abs(pi.size - m)))
-    neg = float(pi.min(initial=0.0))
-    if neg < 0:
-        out.append(Violation("pi", f"negative entry {neg}", -neg))
-    s = float(pi.sum())
-    if abs(s - 1.0) > PI_SUM_TOL:
-        out.append(Violation("pi", f"pi sum = {s}", abs(s - 1.0)))
+    finite = np.isfinite(pi)
+    if not finite.all():
+        bad = pi[~finite][0]
+        out.append(Violation("pi", f"non-finite entry {bad}", math.inf))
+    else:
+        neg = float(pi.min(initial=0.0))
+        if neg < 0:
+            out.append(Violation("pi", f"negative entry {neg}", -neg))
+        s = float(pi.sum())
+        if abs(s - 1.0) > PI_SUM_TOL:
+            out.append(Violation("pi", f"pi sum = {s}", abs(s - 1.0)))
 
     if len(model.hidden) != len(model.emission):
         out.append(

@@ -3,13 +3,18 @@
 Two observation density matrices are built for the same object: a transfer
 formula chaining Schur products of site tensors, and the literal partial
 trace of the joint pure state over all hidden factors.  They agree whenever
-the tensors come from a model, and the pair doubles as a cross-check.
+the tensors come from a model, and the pair doubles as a cross-check.  The
+trace route never forms the joint |psi><psi|: with the joint state reshaped
+to B of shape (hidden, observed), tracing out the hidden factors is the Gram
+matrix B^T conj(B).
 
 The lower bound compares the periodic-MPS density (1/m)|psi><psi| against
 the observation density: dephasing both in the word basis turns the relative
 entropy into a classical divergence between |Tr prod A|^2 / m and the
 diagonal transfer weights, which is exactly the closed-form right-hand side
-evaluated here.  Natural logarithms throughout.
+evaluated here.  Because the MPS density has rank one, its relative entropy
+needs only the observation density's spectrum, and the dephased pair needs
+no eigendecomposition at all.  Natural logarithms throughout.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ import numpy as np
 
 from .bridge import tensors_from_ehmm
 from .ehmm import DEFAULT_SIZE_CAP, EhmmModel, _check_cap, build_psi_hon, is_unitary
-from .linalg import SUPPORT_EPS, as_matrix, hermitian_eig, partial_trace
+from .linalg import SUPPORT_EPS, as_matrix, hermitian_eig
 from .mps import SiteTensorSet, build_state
 
 BOUND_SLACK = 1e-8
@@ -130,16 +135,24 @@ def observation_density_formula(
     return DensityMatrix(mat, (t.d,) * n_sites)
 
 
+def _observation_gram(model: EhmmModel, n_sites: int, size_cap: int) -> np.ndarray:
+    """Partial trace of the joint state over its hidden factors, as a matrix.
+
+    sigma[k, k'] = sum_h psi[h, k] conj(psi[h, k']), i.e. B^T conj(B) with
+    B the joint state reshaped to (m^(N+1), d^N).
+    """
+    n_words = model.d**n_sites
+    _check_cap(n_words * n_words, size_cap)
+    psi = build_psi_hon(model, n_sites, size_cap)
+    b = psi.entries.reshape(-1, n_words)
+    return b.T @ b.conj()
+
+
 def observation_density_trace(
     model: EhmmModel, n_sites: int, size_cap: int = DEFAULT_SIZE_CAP
 ) -> DensityMatrix:
     """Observation density as the partial trace of the joint pure state."""
-    psi = build_psi_hon(model, n_sites, size_cap)
-    _check_cap(psi.dim * psi.dim, size_cap)
-    rho = np.outer(psi.entries, psi.entries.conj())
-    keep = range(n_sites + 1, 2 * n_sites + 1)
-    reduced = partial_trace(rho, psi.factor_dims, keep)
-    return DensityMatrix(reduced, (model.d,) * n_sites)
+    return DensityMatrix(_observation_gram(model, n_sites, size_cap), (model.d,) * n_sites)
 
 
 def diagonal_channel(rho: DensityMatrix) -> DensityMatrix:
@@ -264,25 +277,70 @@ class BoundReport:
         return abs(self.trace_rho - 1.0)
 
 
+def _classical_divergence(p: np.ndarray, q: np.ndarray, eps: float) -> float:
+    """sum_w p ln(p / q) over words with p > eps; +inf if such a word has q <= eps."""
+    keep = p > eps
+    if np.any(q[keep] <= eps):
+        return math.inf
+    pk = p[keep]
+    return float(np.sum(pk * np.log(pk / q[keep])))
+
+
+def _rank_one_divergence(
+    t: float, weights: np.ndarray, mu: np.ndarray, eps: float
+) -> float:
+    """S(t |v><v| || sigma) from sigma's eigenvalues mu and weights |<u_j|v>|^2.
+
+    Same support rules as `relative_entropy`: t <= eps gives 0, and a mass
+    above eps of v on sigma's null space (mu <= eps) gives +inf.
+    """
+    if t <= eps:
+        return 0.0
+    support = mu > eps
+    if float(weights[~support].sum()) > eps:
+        return math.inf
+    return t * math.log(t) - t * float(weights[support] @ np.log(mu[support]))
+
+
 def check_bound(
     model: EhmmModel,
     n_sites: int,
     eps: float = SUPPORT_EPS,
     size_cap: int = DEFAULT_SIZE_CAP,
 ) -> BoundReport:
-    """Run the full lower-bound pipeline for a model at N sites."""
+    """Run the full lower-bound pipeline for a model at N sites.
+
+    The observation density sigma comes from the trace route (a Gram matrix
+    of the joint state) and is eigendecomposed once.  The MPS density
+    (1/m)|psi><psi| has rank one, so S against sigma is
+    t ln t - t <v|log sigma|v> with t = |psi|^2 / m and v = psi / |psi|.
+    Both densities dephased are diagonal, so their S is the classical
+    divergence between |psi|^2 / m and diag(sigma).  Support cuts at ``eps``
+    match `relative_entropy`, which stays the literal oracle.
+    """
     t = tensors_from_ehmm(model, require_unitary=False)
     hidden_unitary = all(is_unitary(u) for u in model.hidden)
-    rho = mps_density(t, n_sites, size_cap)
-    sigma = observation_density_trace(model, n_sites, size_cap)
+    psi = build_state(t, n_sites, size_cap).entries
+    sigma = _observation_gram(model, n_sites, size_cap)
 
-    s_value = relative_entropy(rho, sigma, eps)
-    s_diag = relative_entropy(diagonal_channel(rho), diagonal_channel(sigma), eps)
+    spec = hermitian_eig(sigma)
+    mu = spec.eigenvalues
+    if mu.min() < -eps:
+        raise ValueError("inputs must be positive semidefinite within eps")
+    p = np.abs(psi) ** 2 / t.m
+    q = np.diag(sigma).real
+    trace_rho = float(p.sum())
+    if trace_rho <= 0.0:
+        raise ValueError("cannot normalize a traceless density matrix")
+    v = psi / math.sqrt(trace_rho * t.m)
+    weights = np.abs(spec.eigenvectors.conj().T @ v) ** 2
+
+    s_value = _rank_one_divergence(trace_rho, weights, mu, eps)
+    s_diag = _classical_divergence(p, q, eps)
     rhs_value = bound_rhs(t, model.pi, n_sites, eps)
 
-    rho_hat = rho.normalized()
-    s_norm = relative_entropy(rho_hat, sigma, eps)
-    s_diag_norm = relative_entropy(diagonal_channel(rho_hat), diagonal_channel(sigma), eps)
+    s_norm = _rank_one_divergence(1.0, weights, mu, eps)
+    s_diag_norm = _classical_divergence(p / trace_rho, q, eps)
     rhs_norm = bound_rhs(t, model.pi, n_sites, eps, trace_normalized=True)
 
     return BoundReport(
@@ -290,8 +348,8 @@ def check_bound(
         rhs_value=rhs_value,
         s_diag=s_diag,
         holds=bool(s_value >= rhs_value - BOUND_SLACK),
-        trace_rho=rho.trace_value,
-        trace_sigma=sigma.trace_value,
+        trace_rho=trace_rho,
+        trace_sigma=float(q.sum()),
         s_value_normalized=s_norm,
         rhs_value_normalized=rhs_norm,
         s_diag_normalized=s_diag_norm,

@@ -49,10 +49,37 @@ def _matrix_out(a: np.ndarray) -> list[list[list[float]]]:
     return [[_pair(z) for z in row] for row in np.asarray(a, dtype=np.complex128)]
 
 
-def _matrix_in(rows: Any) -> np.ndarray:
+def _is_real(x: Any) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _complex_in(p: Any, where: str) -> complex:
+    if not (isinstance(p, list) and len(p) == 2 and all(_is_real(x) for x in p)):
+        raise ValueError(f"{where}: expected an [re, im] pair of numbers, found {p!r}")
+    return complex(p[0], p[1])
+
+
+def _matrix_in(rows: Any, where: str) -> np.ndarray:
+    if not (
+        isinstance(rows, list)
+        and rows
+        and all(isinstance(row, list) for row in rows)
+        and len({len(row) for row in rows}) == 1
+    ):
+        raise ValueError(f"{where}: expected a matrix as a non-empty list of equal-length rows")
     return np.array(
-        [[complex(p[0], p[1]) for p in row] for row in rows], dtype=np.complex128
+        [[_complex_in(p, where) for p in row] for row in rows], dtype=np.complex128
     )
+
+
+def _field(doc: dict, key: str, kind: type) -> Any:
+    """doc[key], required to be present and of the given JSON type."""
+    if key not in doc:
+        raise ValueError(f"missing field {key!r}")
+    value = doc[key]
+    if not isinstance(value, kind):
+        raise ValueError(f"field {key!r} has type {type(value).__name__}")
+    return value
 
 
 def _real(x: float) -> float | str:
@@ -74,11 +101,16 @@ def model_to_dict(model: EhmmModel) -> dict:
 
 def model_from_dict(doc: dict) -> EhmmModel:
     _expect_kind(doc, "ehmm_model")
+    pi = _field(doc, "pi", list)
+    if not all(_is_real(p) for p in pi):
+        raise ValueError("field 'pi' must be a list of numbers")
+    hidden = _field(doc, "hidden", list)
+    emission = _field(doc, "emission", list)
     return EhmmModel(
-        pi=np.array(doc["pi"], dtype=np.float64),
-        hidden=tuple(_matrix_in(u) for u in doc["hidden"]),
-        emission=tuple(_matrix_in(c) for c in doc["emission"]),
-        translation_invariant=bool(doc["translation_invariant"]),
+        pi=np.array(pi, dtype=np.float64),
+        hidden=tuple(_matrix_in(u, f"hidden[{l}]") for l, u in enumerate(hidden, 1)),
+        emission=tuple(_matrix_in(c, f"emission[{l}]") for l, c in enumerate(emission, 1)),
+        translation_invariant=_field(doc, "translation_invariant", bool),
     )
 
 
@@ -95,9 +127,15 @@ def tensors_to_dict(t: SiteTensorSet) -> dict:
 
 def tensors_from_dict(doc: dict) -> SiteTensorSet:
     _expect_kind(doc, "site_tensor_set")
+    sites = _field(doc, "sites", list)
+    families = []
+    for l, fam in enumerate(sites, 1):
+        if not isinstance(fam, list):
+            raise ValueError(f"sites[{l}]: expected a list of matrices")
+        families.append(tuple(_matrix_in(a, f"sites[{l}][{k}]") for k, a in enumerate(fam)))
     return SiteTensorSet(
-        tuple(tuple(_matrix_in(a) for a in fam) for fam in doc["sites"]),
-        translation_invariant=bool(doc["translation_invariant"]),
+        tuple(families),
+        translation_invariant=_field(doc, "translation_invariant", bool),
     )
 
 
@@ -113,8 +151,15 @@ def state_to_dict(v: TensorVector) -> dict:
 
 def state_from_dict(doc: dict) -> TensorVector:
     _expect_kind(doc, "tensor_vector")
-    entries = np.array([complex(p[0], p[1]) for p in doc["entries"]])
-    return TensorVector(tuple(doc["factor_dims"]), entries)
+    dims = _field(doc, "factor_dims", list)
+    if not all(isinstance(x, int) and not isinstance(x, bool) for x in dims):
+        raise ValueError("field 'factor_dims' must be a list of integers")
+    entries = _field(doc, "entries", list)
+    values = np.array(
+        [_complex_in(p, f"entries[{i}]") for i, p in enumerate(entries)],
+        dtype=np.complex128,
+    )
+    return TensorVector(tuple(dims), values)
 
 
 def extracted_to_dict(e: ExtractedHmm) -> dict:
@@ -191,6 +236,10 @@ def load_tensors(path: str | Path) -> SiteTensorSet:
 
 
 def _expect_kind(doc: dict, kind: str) -> None:
+    if not isinstance(doc, dict):
+        raise ValueError(
+            f"expected a {kind} document (a JSON object), found {type(doc).__name__}"
+        )
     found = doc.get("kind")
     if found != kind:
         raise ValueError(f"expected a {kind} document, found kind={found!r}")

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -126,3 +127,30 @@ def test_selftest_command(capsys):
     assert main(["selftest"]) == 0
     out = capsys.readouterr().out
     assert out.count("PASS criterion") == 9
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[1, 2]", "JSON object"),
+        ('{"kind": "ehmm_model"}', "missing field 'pi'"),
+        ('{"kind": "ehmm_model", "pi": [1.0], "hidden": [[[1.0]]], "emission": [[[[1, 0]]]],'
+         ' "translation_invariant": true}', r"hidden\[1\]"),
+        ("{not json", "Expecting"),
+    ],
+)
+def test_malformed_model_file_is_one_line_usage_error(tmp_path, capsys, text, message):
+    path = tmp_path / "model.json"
+    path.write_text(text)
+    assert main(["entropy", "--model", str(path), "--N", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert re.search(message, err)
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-3", "1.5"])
+def test_bad_size_cap_environment_variable_is_usage_error(monkeypatch, capsys, value):
+    monkeypatch.setenv("MPSHMM_SIZE_CAP", value)
+    assert main(["catalog", "list"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: MPSHMM_SIZE_CAP must be a positive integer, got {value!r}\n"

@@ -53,6 +53,21 @@ def test_pi_sum_violation_reported():
     assert any("pi sum = 1.2" in v.message for v in report)
 
 
+@pytest.mark.parametrize("bad", [[math.nan, math.nan], [math.inf, -math.inf], [0.5, math.nan]])
+def test_non_finite_pi_reported(bad):
+    model = EhmmModel(
+        pi=np.array(bad),
+        hidden=(np.eye(2, dtype=complex),),
+        emission=(np.eye(2, dtype=complex),),
+        translation_invariant=True,
+    )
+    report = validate(model)
+    assert [v.location for v in report] == ["pi"]
+    assert report[0].message.startswith("non-finite entry")
+    with pytest.raises(ValueError, match="non-finite entry"):
+        build_psi_hon(model, 1)
+
+
 def test_bad_emission_row_names_index():
     chi = np.array([[1.0, 0.0], [0.5, 0.5]], dtype=complex)  # row 1 not normalized
     model = EhmmModel(

@@ -270,3 +270,104 @@ def test_bound_report_flags_trace_deviation():
     rep = check_bound(catalog.get("cluster").model, 3)
     assert np.isclose(rep.trace_rho, 0.5, atol=1e-12)
     assert rep.trace_deviation > 0.4
+
+
+# ---- check_bound against the literal density-matrix route ----
+
+
+def explicit_partial_trace(model, n):
+    """sigma from the joint |psi><psi| traced over the hidden factors."""
+    psi = build_psi_hon(model, n)
+    joint = np.outer(psi.entries, psi.entries.conj())
+    return partial_trace(joint, psi.factor_dims, range(n + 1, 2 * n + 1))
+
+
+def literal_divergences(model, n):
+    """(S, S dephased, S normalized, S dephased normalized) by `relative_entropy`."""
+    rho = mps_density(tensors_from_ehmm(model, require_unitary=False), n)
+    sigma = DensityMatrix(explicit_partial_trace(model, n), (model.d,) * n)
+    rho_hat = rho.normalized()
+    return (
+        relative_entropy(rho, sigma),
+        relative_entropy(diagonal_channel(rho), diagonal_channel(sigma)),
+        relative_entropy(rho_hat, sigma),
+        relative_entropy(diagonal_channel(rho_hat), diagonal_channel(sigma)),
+    )
+
+
+def pinned_model():
+    # pi = (1, 0): the MPS trace runs over hidden index 2 as well, the joint
+    # state does not, so psi leaks out of sigma's support
+    return EhmmModel(
+        pi=np.array([1.0, 0.0]),
+        hidden=(np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0),),
+        emission=(np.eye(2, dtype=complex),),
+        translation_invariant=True,
+    )
+
+
+CROSS_CHECK_MODELS = [
+    ("ghz", catalog.get("ghz").model),
+    ("cluster", catalog.get("cluster").model),
+    ("theta(pi/3)", catalog.get("theta", theta=math.pi / 3).model),
+    ("aklt-derived", catalog.get("aklt-derived").model),
+    ("random(2,2)", catalog.random_model(2, 2, 3, 71)),
+    ("random(2,3)", catalog.random_model(2, 3, 3, 72)),
+    ("random(3,2)", catalog.random_model(3, 2, 3, 73)),
+    ("pinned", pinned_model()),
+]
+
+
+@pytest.mark.parametrize("name, model", CROSS_CHECK_MODELS, ids=[c[0] for c in CROSS_CHECK_MODELS])
+def test_check_bound_equals_literal_route(name, model):
+    for n in (1, 2, 3):
+        rep = check_bound(model, n)
+        fast = (rep.s_value, rep.s_diag, rep.s_value_normalized, rep.s_diag_normalized)
+        for got, want in zip(fast, literal_divergences(model, n)):
+            if math.isinf(want) or math.isinf(got):
+                assert got == want, (name, n, fast)
+            else:
+                assert abs(got - want) <= 1e-10, (name, n, got, want)
+
+
+def test_pinned_model_exercises_infinite_divergence():
+    rep = check_bound(pinned_model(), 2)
+    assert rep.s_value == math.inf and rep.support_violation
+    assert rep.holds and rep.holds_normalized
+
+
+def test_gram_trace_route_equals_explicit_partial_trace():
+    for _, model in CROSS_CHECK_MODELS:
+        for n in (1, 2, 3):
+            gram = observation_density_trace(model, n).matrix
+            assert np.max(np.abs(gram - explicit_partial_trace(model, n))) <= 1e-12
+
+
+def test_check_bound_ghz_beyond_joint_outer_product_reach():
+    # the joint |psi><psi| at N=8 would hold (2^17)^2 entries, far above the cap
+    rep = check_bound(catalog.get("ghz").model, 8)
+    assert abs(rep.s_value - math.log(2.0)) <= 1e-8
+    assert rep.holds and rep.holds_normalized
+
+
+def test_small_size_cap_refuses_observation_density():
+    # m=2, d=3, N=3: state 27, joint state 432, sigma 729 entries
+    model = catalog.random_model(2, 3, 3, 74)
+    with pytest.raises(ValueError, match="729 entries exceeds size cap 500"):
+        check_bound(model, 3, size_cap=500)
+    with pytest.raises(ValueError, match="exceeds size cap 500"):
+        observation_density_trace(model, 3, size_cap=500)
+
+
+def test_check_bound_zero_state_raises():
+    # a hidden swap returns to its start only after an even number of sites,
+    # so every periodic trace at N=1 vanishes
+    swap = EhmmModel(
+        pi=np.array([0.5, 0.5]),
+        hidden=(np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),),
+        emission=(np.eye(2, dtype=complex),),
+        translation_invariant=True,
+    )
+    assert np.all(build_state(tensors_from_ehmm(swap), 1).entries == 0)
+    with pytest.raises(ValueError, match="cannot normalize a traceless density matrix"):
+        check_bound(swap, 1)

@@ -87,3 +87,53 @@ def test_kind_mismatch_rejected():
     doc = serialize.tensors_to_dict(catalog.get("ghz").tensors)
     with pytest.raises(ValueError, match="expected a ehmm_model"):
         serialize.model_from_dict(doc)
+
+
+def _model_doc():
+    return serialize.model_to_dict(catalog.get("ghz").model)
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (lambda doc: [doc], "JSON object"),
+        (lambda doc: {k: v for k, v in doc.items() if k != "pi"}, "missing field 'pi'"),
+        (lambda doc: {**doc, "pi": "0.5,0.5"}, "field 'pi'"),
+        (lambda doc: {**doc, "pi": [0.5, [0.5]]}, "field 'pi'"),
+        (lambda doc: {**doc, "hidden": 3}, "field 'hidden'"),
+        (lambda doc: {**doc, "hidden": [[[1.0, 0.0], [0.0, 1.0]]]}, r"hidden\[1\]"),
+        (lambda doc: {**doc, "emission": [[[[1.0, 0.0, 0.0]]]]}, r"emission\[1\]"),
+        (lambda doc: {**doc, "emission": [[[[1.0, 0.0]], []]]}, r"emission\[1\]"),
+        (lambda doc: {**doc, "translation_invariant": "false"}, "translation_invariant"),
+    ],
+)
+def test_malformed_model_document_names_field(mutate, message):
+    with pytest.raises(ValueError, match=message):
+        serialize.model_from_dict(mutate(_model_doc()))
+
+
+def test_malformed_tensor_document_names_field():
+    doc = serialize.tensors_to_dict(catalog.get("ghz").tensors)
+    with pytest.raises(ValueError, match="missing field 'sites'"):
+        serialize.tensors_from_dict({k: v for k, v in doc.items() if k != "sites"})
+    with pytest.raises(ValueError, match=r"sites\[1\]"):
+        serialize.tensors_from_dict({**doc, "sites": [7]})
+    with pytest.raises(ValueError, match=r"sites\[1\]\[0\]"):
+        serialize.tensors_from_dict({**doc, "sites": [[[[1.0, 0.0, 2.0]]]]})
+
+
+def test_malformed_state_document_names_field():
+    doc = serialize.state_to_dict(TensorVector((2,), np.array([1.0, 0.0])))
+    with pytest.raises(ValueError, match=r"entries\[1\]"):
+        serialize.state_from_dict({**doc, "entries": [[1.0, 0.0], [0.0]]})
+    with pytest.raises(ValueError, match="factor_dims"):
+        serialize.state_from_dict({**doc, "factor_dims": ["2"]})
+
+
+def test_load_model_rejects_top_level_list(tmp_path):
+    path = tmp_path / "model.json"
+    path.write_text("[1, 2]\n")
+    with pytest.raises(ValueError, match="ehmm_model document"):
+        serialize.load_model(path)
+    with pytest.raises(ValueError, match="site_tensor_set document"):
+        serialize.load_tensors(path)

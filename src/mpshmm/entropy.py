@@ -27,7 +27,7 @@ import numpy as np
 from .bridge import tensors_from_ehmm
 from .ehmm import DEFAULT_SIZE_CAP, EhmmModel, _check_cap, build_psi_hon, is_unitary
 from .linalg import SUPPORT_EPS, as_matrix, hermitian_eig
-from .mps import SiteTensorSet, build_state
+from .mps import SiteTensorSet, _site_stacks, _word_sums, build_state
 
 BOUND_SLACK = 1e-8
 HERMITIAN_TOL = 1e-10
@@ -100,7 +100,8 @@ def observation_density_formula(
 
     Entry at (word, word') is sqrt(m) * pi^T (prod_l A_{k_l} o conj(A_{k'_l})) e
     with e the normalized all-ones vector; bra and ket words each run over
-    all d^N values independently.
+    all d^N values independently.  All d^(2N) entries come from one
+    split-half contraction over the d^2 pair symbols (k_l, k'_l).
     """
     pi = np.asarray(pi, dtype=np.float64).reshape(-1)
     if pi.size != t.m:
@@ -115,24 +116,16 @@ def observation_density_formula(
     if not t.compatible_length(n_sites):
         raise ValueError(f"{n_sites} sites exceed {len(t.sites)} stored sites")
 
-    # per stored site, all d*d Schur products A_k o conj(A_k')
-    schur_tables = []
-    for l in range(1, n_sites + 1):
-        fam = t.family_at(l)
-        schur_tables.append(
-            [[a * b.conj() for b in fam] for a in fam]
-        )
-    e_vec = np.ones(t.m) / math.sqrt(t.m)
-    root_m = math.sqrt(t.m)
-    words = list(np.ndindex(*(t.d,) * n_sites))
-    mat = np.empty((n_words, n_words), dtype=np.complex128)
-    for a, word in enumerate(words):
-        for b, word_p in enumerate(words):
-            prod = np.eye(t.m, dtype=np.complex128)
-            for l in range(n_sites):
-                prod = prod @ schur_tables[l][word[l]][word_p[l]]
-            mat[a, b] = root_m * (pi @ prod @ e_vec)
-    return DensityMatrix(mat, (t.d,) * n_sites)
+    # the pair family A_k o conj(A_k') over d*d symbols (k, k'), one word
+    # of pairs per (word, word'), with the pair axes unzipped afterwards
+    stacks = _site_stacks(
+        t, n_sites, lambda s: (s[:, None] * s.conj()[None]).reshape(-1, t.m, t.m)
+    )
+    e_vec = np.ones((t.m, 1)) / math.sqrt(t.m)
+    sums = _word_sums(stacks, pi[None], e_vec)
+    order = [*range(0, 2 * n_sites, 2), *range(1, 2 * n_sites, 2)]
+    mat = sums.reshape((t.d,) * (2 * n_sites)).transpose(order).reshape(n_words, n_words)
+    return DensityMatrix(math.sqrt(t.m) * mat, (t.d,) * n_sites)
 
 
 def _observation_gram(model: EhmmModel, n_sites: int, size_cap: int) -> np.ndarray:
@@ -195,6 +188,47 @@ def relative_entropy(
     return term_r - term_s
 
 
+def _rhs_terms(
+    t: SiteTensorSet, pi: np.ndarray, n_sites: int, psi: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-word numerators |Tr prod A|^2 and denominators m^{3/2} pi^T (prod A o conj A) e.
+
+    ``psi`` holds the trace coefficients Tr prod A (the `build_state`
+    entries); the denominators come from one boundary-vector contraction
+    over the real family |A_k|^2.
+    """
+    num = np.abs(psi)
+    num **= 2
+    m = t.m
+    stacks = _site_stacks(t, n_sites, lambda s: s.real**2 + s.imag**2)
+    e_vec = np.ones((m, 1)) / math.sqrt(m)
+    den = _word_sums(stacks, pi[None], e_vec)
+    den *= m**1.5
+    return num, den
+
+
+def _weigh_rhs(
+    num: np.ndarray, den: np.ndarray, m: int, eps: float, trace_normalized: bool
+) -> float:
+    """(1/m) sum_words num log(num / den), optionally for the unit-trace rescaling.
+
+    Words with num <= eps contribute nothing; a kept word with den <= eps
+    makes the bound +inf.
+    """
+    scale = float(num.sum()) / m if trace_normalized else 1.0
+    if trace_normalized and scale <= 0.0:
+        raise ValueError("cannot trace-normalize a zero state")
+    keep = num > eps
+    if np.any(keep & (den <= eps)):
+        return math.inf
+    terms = np.divide(num, den, out=np.ones_like(num), where=keep)
+    if trace_normalized:
+        terms /= scale
+    np.log(terms, out=terms)
+    terms *= num
+    return float(terms.sum()) / (m * scale)
+
+
 def bound_rhs(
     t: SiteTensorSet,
     pi: np.ndarray,
@@ -208,45 +242,16 @@ def bound_rhs(
     (prod A o conj A) e)).  Zero numerators contribute nothing; a nonzero
     numerator over a vanishing denominator gives +inf.  With
     ``trace_normalized`` the word weights are rescaled to the unit-trace
-    version of the MPS density.
+    version of the MPS density.  Numerators and denominators for all words
+    come from two split-half contractions: the dense state, and the
+    boundary-vector form over the family |A_k|^2.
     """
     pi = np.asarray(pi, dtype=np.float64).reshape(-1)
     if pi.size != t.m:
         raise ValueError(f"pi has length {pi.size}, expected {t.m}")
-    if n_sites < 1:
-        raise ValueError("n_sites must be >= 1")
-    if not t.compatible_length(n_sites):
-        raise ValueError(f"{n_sites} sites exceed {len(t.sites)} stored sites")
-    m = t.m
-    e_vec = np.ones(m) / math.sqrt(m)
-    words = list(np.ndindex(*(t.d,) * n_sites))
-
-    numerators = np.empty(len(words))
-    denominators = np.empty(len(words))
-    for idx, word in enumerate(words):
-        prod = np.eye(m, dtype=np.complex128)
-        prod_sq = np.eye(m, dtype=np.complex128)
-        for l, k in enumerate(word, start=1):
-            a = t.family_at(l)[k]
-            prod = prod @ a
-            prod_sq = prod_sq @ (a * a.conj())
-        numerators[idx] = abs(complex(np.trace(prod))) ** 2
-        denominators[idx] = (m ** 1.5) * float((pi @ prod_sq @ e_vec).real)
-
-    scale = float(numerators.sum()) / m if trace_normalized else 1.0
-    if trace_normalized and scale <= 0.0:
-        raise ValueError("cannot trace-normalize a zero state")
-    total = 0.0
-    for num, den in zip(numerators, denominators):
-        if num <= eps:
-            continue
-        if den <= eps:
-            return math.inf
-        if trace_normalized:
-            total += (num / (m * scale)) * math.log(num / (scale * den))
-        else:
-            total += (num / m) * math.log(num / den)
-    return float(total)
+    psi = build_state(t, n_sites).entries
+    num, den = _rhs_terms(t, pi, n_sites, psi)
+    return _weigh_rhs(num, den, t.m, eps, trace_normalized)
 
 
 @dataclass(frozen=True)
@@ -316,7 +321,9 @@ def check_bound(
     t ln t - t <v|log sigma|v> with t = |psi|^2 / m and v = psi / |psi|.
     Both densities dephased are diagonal, so their S is the classical
     divergence between |psi|^2 / m and diag(sigma).  Support cuts at ``eps``
-    match `relative_entropy`, which stays the literal oracle.
+    match `relative_entropy`, which stays the literal oracle.  The RHS word
+    terms are evaluated once and weighted for both the literal and the
+    unit-trace bound.
     """
     t = tensors_from_ehmm(model, require_unitary=False)
     hidden_unitary = all(is_unitary(u) for u in model.hidden)
@@ -327,7 +334,8 @@ def check_bound(
     mu = spec.eigenvalues
     if mu.min() < -eps:
         raise ValueError("inputs must be positive semidefinite within eps")
-    p = np.abs(psi) ** 2 / t.m
+    num, den = _rhs_terms(t, model.pi, n_sites, psi)
+    p = num / t.m
     q = np.diag(sigma).real
     trace_rho = float(p.sum())
     if trace_rho <= 0.0:
@@ -337,11 +345,11 @@ def check_bound(
 
     s_value = _rank_one_divergence(trace_rho, weights, mu, eps)
     s_diag = _classical_divergence(p, q, eps)
-    rhs_value = bound_rhs(t, model.pi, n_sites, eps)
+    rhs_value = _weigh_rhs(num, den, t.m, eps, trace_normalized=False)
 
     s_norm = _rank_one_divergence(1.0, weights, mu, eps)
     s_diag_norm = _classical_divergence(p / trace_rho, q, eps)
-    rhs_norm = bound_rhs(t, model.pi, n_sites, eps, trace_normalized=True)
+    rhs_norm = _weigh_rhs(num, den, t.m, eps, trace_normalized=True)
 
     return BoundReport(
         s_value=s_value,

@@ -4,13 +4,19 @@ A state on N sites is defined by per-site families {A_k : k = 0..d-1} of
 m-by-m matrices; the coefficient of the word k1..kN is the trace of the
 ordered product A_{k1}^[1] ... A_{kN}^[N].  No normalization is applied:
 the raw trace coefficients are returned and the norm is reported separately.
+
+The dense state is evaluated for all words at once by a split-half
+contraction: the ordered products of the first and of the second half of the
+chain are built for every half-word, and one matrix product pairs them up.
+`coefficient` stays the scalar route for single words, and `state_norm`
+the transfer-operator route that never forms the state.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -140,23 +146,72 @@ def coefficient(t: SiteTensorSet, word: Sequence[int]) -> complex:
     return complex(np.trace(prod))
 
 
+def _site_stacks(
+    t: SiteTensorSet,
+    n_sites: int,
+    transform: Callable[[np.ndarray], np.ndarray] | None = None,
+) -> list[np.ndarray]:
+    """(d, m, m) symbol stacks for sites 1..N, optionally mapped by ``transform``.
+
+    A translation-invariant set is stacked (and transformed) once, and the
+    one array serves every site.
+    """
+    stored = t.sites[:1] if t.translation_invariant else t.sites[:n_sites]
+    stacks = [np.stack(fam) for fam in stored]
+    if transform is not None:
+        stacks = [transform(s) for s in stacks]
+    return stacks * n_sites if t.translation_invariant else stacks
+
+
+def _word_sums(
+    stacks: Sequence[np.ndarray], left: np.ndarray, right: np.ndarray
+) -> np.ndarray:
+    """Tr(left A_{k1} ... A_{kN} right) for every word k1..kN, flat in C word order.
+
+    ``stacks[l]`` is the (d, m, m) symbol stack of site l+1; ``left`` is
+    (r, m) and ``right`` is (m, r).  The identity pair gives the periodic
+    trace, a row pi^T and a column e give the boundary-vector form pi^T A..A e.
+
+    Split-half contraction: with h = ceil(N/2), the words of sites 1..h give
+    X = left A..A and the words of sites h+1..N give Z = (A..A right)^T, both
+    (r, m) per half-word, and Tr(X Z^T) for all pairs is one matrix product
+    of the flattened halves.  X is built one first symbol at a time and its
+    product is written straight into that symbol's block of the output, so
+    the peak memory stays close to the output itself.
+    """
+    h = (len(stacks) + 1) // 2
+    r, m = left.shape
+    z = right.T[None]
+    for fam in reversed(stacks[h:]):
+        z = (z @ fam.transpose(0, 2, 1)[:, None]).reshape(-1, r, m)
+    z = z.reshape(len(z), -1).T
+    first = stacks[0]
+    rows = math.prod(len(fam) for fam in stacks[1:h])
+    out = np.empty((len(first), rows, z.shape[1]), np.result_type(left, right, first))
+    for k, a in enumerate(first):
+        x = (left @ a)[None]
+        for fam in stacks[1:h]:
+            x = (x[:, None] @ fam).reshape(-1, r, m)
+        np.matmul(x.reshape(rows, -1), z, out=out[k])
+    return out.reshape(-1)
+
+
 def build_state(
     t: SiteTensorSet, n_sites: int, size_cap: int = DEFAULT_SIZE_CAP
 ) -> TensorVector:
     """Dense state over d^N words, entry at word w = coefficient(t, w).
 
-    Evaluated word by word with a running matrix product; this route is
-    deliberately independent of the transfer-operator route in `state_norm`.
+    All words at once by the split-half contraction of `_word_sums`; this
+    route is deliberately independent of the transfer-operator route in
+    `state_norm`.
     """
     if n_sites < 1:
         raise ValueError("n_sites must be >= 1")
     if not t.compatible_length(n_sites):
         raise ValueError(f"{n_sites} sites exceed {len(t.sites)} stored sites")
     _check_cap(t.d**n_sites, size_cap)
-    entries = np.empty(t.d**n_sites, dtype=np.complex128)
-    for idx, word in enumerate(np.ndindex(*(t.d,) * n_sites)):
-        entries[idx] = coefficient(t, word)
-    return TensorVector((t.d,) * n_sites, entries)
+    eye = np.eye(t.m, dtype=np.complex128)
+    return TensorVector((t.d,) * n_sites, _word_sums(_site_stacks(t, n_sites), eye, eye))
 
 
 def state_norm(t: SiteTensorSet, n_sites: int) -> float:

@@ -154,3 +154,10 @@ def test_bad_size_cap_environment_variable_is_usage_error(monkeypatch, capsys, v
     assert main(["catalog", "list"]) == 2
     err = capsys.readouterr().err
     assert err == f"error: MPSHMM_SIZE_CAP must be a positive integer, got {value!r}\n"
+
+
+def test_unknown_catalog_name_message_is_unquoted(capsys):
+    assert main(["extract", "--name", "w-state"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown catalog name 'w-state'; known: ")
+    assert not err.startswith('error: "')

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +19,8 @@ from mpshmm.entropy import (
     relative_entropy,
 )
 from mpshmm.linalg import partial_trace
-from mpshmm.mps import SiteTensorSet, build_state
+from mpshmm.mps import SiteTensorSet, build_state, coefficient
+from test_mps import random_site_tensors
 
 
 def random_density(rng, dim):
@@ -371,3 +373,120 @@ def test_check_bound_zero_state_raises():
     assert np.all(build_state(tensors_from_ehmm(swap), 1).entries == 0)
     with pytest.raises(ValueError, match="cannot normalize a traceless density matrix"):
         check_bound(swap, 1)
+
+
+# ---- batched word kernel against per-word reference loops ----
+
+
+def loop_bound_rhs(t, pi, n, eps=1e-12, trace_normalized=False):
+    """The bound's word sum, one running product per word."""
+    m = t.m
+    e_vec = np.ones(m) / math.sqrt(m)
+    nums, dens = [], []
+    for word in np.ndindex(*(t.d,) * n):
+        prod = np.eye(m, dtype=complex)
+        prod_sq = np.eye(m, dtype=complex)
+        for l, k in enumerate(word, start=1):
+            a = t.family_at(l)[k]
+            prod = prod @ a
+            prod_sq = prod_sq @ (a * a.conj())
+        nums.append(abs(complex(np.trace(prod))) ** 2)
+        dens.append((m**1.5) * float((pi @ prod_sq @ e_vec).real))
+    scale = sum(nums) / m if trace_normalized else 1.0
+    total = 0.0
+    for num, den in zip(nums, dens):
+        if num <= eps:
+            continue
+        if den <= eps:
+            return math.inf
+        if trace_normalized:
+            total += (num / (m * scale)) * math.log(num / (scale * den))
+        else:
+            total += (num / m) * math.log(num / den)
+    return total
+
+
+def loop_observation_density(t, pi, n):
+    """The Schur-product formula, one chained product per (word, word') pair."""
+    e_vec = np.ones(t.m) / math.sqrt(t.m)
+    words = list(np.ndindex(*(t.d,) * n))
+    mat = np.empty((len(words), len(words)), dtype=complex)
+    for a, word in enumerate(words):
+        for b, word_p in enumerate(words):
+            prod = np.eye(t.m, dtype=complex)
+            for l in range(n):
+                fam = t.family_at(l + 1)
+                prod = prod @ (fam[word[l]] * fam[word_p[l]].conj())
+            mat[a, b] = math.sqrt(t.m) * (pi @ prod @ e_vec)
+    return mat
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("d", [2, 3])
+def test_bound_rhs_matches_word_loop(m, d):
+    rng = np.random.default_rng(200 + 10 * m + d)
+    for n in range(1, 6):
+        t = random_site_tensors(rng, m, d, n)
+        pi = rng.dirichlet(np.ones(m))
+        for norm in (False, True):
+            expected = loop_bound_rhs(t, pi, n, trace_normalized=norm)
+            got = bound_rhs(t, pi, n, trace_normalized=norm)
+            assert math.isclose(got, expected, rel_tol=1e-10, abs_tol=1e-10)
+
+
+def test_bound_rhs_zero_numerator_words_are_skipped():
+    # Tr A_0 = 0 but pi^T (A_0 o conj A_0) e > 0: every word of A_0 alone
+    # has a zero numerator and a positive denominator
+    a0 = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+    t = SiteTensorSet(((a0, np.eye(2, dtype=complex) / math.sqrt(2.0)),), True)
+    pi = np.array([0.5, 0.5])
+    assert abs(coefficient(t, (0, 0, 0))) == 0.0
+    for n in (1, 2, 3):
+        for norm in (False, True):
+            got = bound_rhs(t, pi, n, trace_normalized=norm)
+            assert math.isfinite(got)
+            assert math.isclose(got, loop_bound_rhs(t, pi, n, trace_normalized=norm), rel_tol=1e-12)
+
+
+def test_bound_rhs_vanishing_denominator_is_infinite():
+    # GHZ projectors with pi = (1, 0): the word 111 has trace 1 but
+    # pi^T P_1 e = 0
+    t = catalog.get("ghz").tensors
+    pi = np.array([1.0, 0.0])
+    for norm in (False, True):
+        assert loop_bound_rhs(t, pi, 3, trace_normalized=norm) == math.inf
+        assert bound_rhs(t, pi, 3, trace_normalized=norm) == math.inf
+
+
+def test_bound_rhs_zero_state_cannot_be_trace_normalized():
+    t = SiteTensorSet(((np.zeros((2, 2), dtype=complex),) * 2,), True)
+    assert bound_rhs(t, np.array([0.5, 0.5]), 2) == 0.0
+    with pytest.raises(ValueError, match="zero state"):
+        bound_rhs(t, np.array([0.5, 0.5]), 2, trace_normalized=True)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("d, sites", [(2, (1, 2, 3, 4)), (3, (1, 2, 3))])
+def test_formula_matches_pair_loop(m, d, sites):
+    rng = np.random.default_rng(300 + 10 * m + d)
+    for n in sites:
+        t = random_site_tensors(rng, m, d, n)
+        pi = rng.dirichlet(np.ones(m))
+        expected = loop_observation_density(t, pi, n)
+        got = observation_density_formula(t, pi, n).matrix
+        assert np.abs(got - expected).max() <= 1e-12 * max(1.0, float(np.abs(expected).max()))
+
+
+def test_bound_rhs_peak_memory_within_build_state_bound():
+    # the same limit the AKLT N=7 state has: 1.2x its 3^7 complex entries
+    limit = 1.2 * build_state(catalog.get("aklt").tensors, 7).entries.nbytes
+    derived = catalog.get("aklt-derived")
+    for norm in (False, True):
+        bound_rhs(derived.tensors, derived.model.pi, 6, trace_normalized=norm)
+        tracemalloc.start()
+        try:
+            bound_rhs(derived.tensors, derived.model.pi, 6, trace_normalized=norm)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= limit

@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mpshmm import catalog
 from mpshmm.bridge import tensors_from_ehmm
@@ -114,6 +118,63 @@ def test_cyclic_invariance_translation_invariant():
 def test_build_state_size_cap():
     with pytest.raises(ValueError, match="size cap"):
         build_state(catalog.get("aklt").tensors, 10, size_cap=100)
+
+
+# ---- batched kernel against the scalar coefficient ----
+
+
+def random_site_tensors(rng, m, d, n_sites, translation_invariant=False):
+    """Site-dependent (or one shared) random complex families, no gauge."""
+    sites = tuple(
+        tuple(rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)) for _ in range(d))
+        for _ in range(1 if translation_invariant else n_sites)
+    )
+    return SiteTensorSet(sites, translation_invariant)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("d", [2, 3])
+def test_build_state_matches_coefficient_on_every_word(m, d):
+    rng = np.random.default_rng(100 * m + d)
+    for n in range(1, 9):
+        t = random_site_tensors(rng, m, d, n)
+        psi = build_state(t, n)
+        oracle = np.array([coefficient(t, w) for w in np.ndindex(*(d,) * n)])
+        # summation order differs from the running product: relative 1e-12
+        scale = max(1.0, float(np.abs(oracle).max()))
+        assert np.abs(psi.entries - oracle).max() <= 1e-12 * scale
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    m=st.integers(1, 3),
+    d=st.integers(1, 3),
+    n=st.integers(1, 7),
+    invariant=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_kernel_coefficient_equals_scalar_coefficient(m, d, n, invariant, seed, data):
+    t = random_site_tensors(np.random.default_rng(seed), m, d, n, invariant)
+    word = tuple(data.draw(st.lists(st.integers(0, d - 1), min_size=n, max_size=n)))
+    psi = build_state(t, n)
+    oracle = coefficient(t, word)
+    entry = psi.entries[np.ravel_multi_index(word, psi.factor_dims)]
+    assert abs(entry - oracle) <= 1e-12 * max(1.0, float(np.abs(psi.entries).max()))
+
+
+def test_build_state_peak_memory_near_output_size():
+    # the split-half halves and one left block sit beside the d^N output;
+    # at AKLT N=7 they add 2 * 27 words of 2x2 complex matrices (10%)
+    t = catalog.get("aklt").tensors
+    build_state(t, 7)
+    tracemalloc.start()
+    try:
+        entries = build_state(t, 7).entries
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.2 * entries.nbytes
 
 
 # ---- norm via transfer operator ----

@@ -22,12 +22,12 @@ import numpy as np
 from .ehmm import (
     DEFAULT_SIZE_CAP,
     EhmmModel,
-    build_psi_hon,
+    _check_cap,
     is_unitary,
     require_valid,
 )
-from .linalg import ATOL, TensorVector, partial_inner_product
-from .mps import GAUGE_TOL, SiteTensorSet, build_state, require_gauge
+from .linalg import ATOL, TensorVector
+from .mps import GAUGE_TOL, SiteTensorSet, require_gauge
 
 DECOMPOSE_TOL = 1e-8
 
@@ -39,7 +39,6 @@ __all__ = [
     "tensors_from_ehmm",
     "build_e_vector",
     "observed_mps",
-    "partial_measurement_deviation",
     "extract_classical_hmm",
     "isometries_from_mps",
     "decompose_tensors",
@@ -172,32 +171,47 @@ def observed_mps(
 ) -> TensorVector:
     """Partial measurement of the joint state down to an N-site word vector.
 
-    Contracts the joint state on n sites against the boundary vector over all
-    hidden factors plus the trailing n-N observation factors, leaving a
-    vector on the first N observation factors.  For every n >= N this equals
-    the dense periodic MPS of `tensors_from_ehmm(model)` on N sites.
+    Evaluates <e|psi_hon> over all hidden factors plus the trailing n-N
+    observation factors, leaving a vector on the first N observation
+    factors.  For every n >= N this equals the dense periodic MPS of
+    `tensors_from_ehmm(model)` on N sites.
+
+    The network is contracted one site at a time and neither the joint state
+    nor the boundary vector is formed.  Each trailing site N+1..n pairs the
+    psi factor with the conjugated e factor and sums k_l, giving the m x m
+    matrix T_l = |U_l|^2 * (sum_k |chi_l[:,k]|^2)[:, None]; these fold right
+    to left, from ones at i_{n+1}, into an m-vector r over i_{N+1}.  The kept
+    sites 1..N grow a block X[i1, word, i] from the identity, one matrix
+    product per site against chi_l[i,k] U_l[i,j], with words in C order.  The
+    e-vector weight sqrt(pi[i1]) conj(1/sqrt(pi[i1])), the periodic delta
+    i_{N+1} = i1 and r close the chain.  The size cap applies to X, the
+    largest array formed, with m^2 d^N entries.
     """
-    psi = build_psi_hon(model, n, size_cap)
-    bound = build_e_vector(model, n_keep, n, size_cap)
-    hidden_axes = list(range(n + 1))
-    trailing_obs = list(range(n + 1 + n_keep, 2 * n + 1))
-    kept_obs = list(range(n + 1, n + 1 + n_keep))
-    w = psi.permute_factors(hidden_axes + trailing_obs + kept_obs)
-    return partial_inner_product(w, bound, len(hidden_axes) + len(trailing_obs))
+    require_valid(model)
+    if n_keep < 1:
+        raise ValueError("number of kept sites must be >= 1")
+    if n < n_keep:
+        raise ValueError(f"n = {n} must be >= kept sites {n_keep}")
+    if float(model.pi.min()) <= 0.0:
+        raise ValueError("boundary vector needs strictly positive pi entries")
+    m, d = model.m, model.d
+    _check_cap(m * m * d**n_keep, size_cap)
 
+    r = np.ones(m, dtype=np.complex128)
+    for l in range(n, n_keep, -1):
+        chi = model.emission_at(l)
+        u = model.hidden_at(l)
+        r = ((u.conj() * u) * (chi.conj() * chi).sum(axis=1)[:, None]) @ r
 
-def partial_measurement_deviation(
-    model: EhmmModel,
-    n_keep: int,
-    n: int,
-    require_unitary: bool = True,
-    size_cap: int = DEFAULT_SIZE_CAP,
-) -> float:
-    """Max entrywise gap between the measured state and the direct MPS build."""
-    t = tensors_from_ehmm(model, require_unitary=require_unitary)
-    direct = build_state(t, n_keep, size_cap)
-    measured = observed_mps(model, n_keep, n, size_cap)
-    return float(np.max(np.abs(direct.entries - measured.entries)))
+    x = np.eye(m, dtype=np.complex128)
+    for l in range(1, n_keep + 1):
+        step = model.emission_at(l)[:, :, None] * model.hidden_at(l)[:, None, :]
+        x = x.reshape(-1, m) @ step.reshape(m, d * m)
+
+    sqrt_pi = np.sqrt(model.pi)
+    weight = sqrt_pi * np.conj(1.0 / sqrt_pi) * r
+    diag = x.reshape(m, d**n_keep, m)[np.arange(m), :, np.arange(m)]
+    return TensorVector((d,) * n_keep, weight @ diag)
 
 
 def extract_classical_hmm(t: SiteTensorSet, gauge_tol: float = GAUGE_TOL) -> ExtractedHmm:

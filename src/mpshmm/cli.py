@@ -120,10 +120,19 @@ def _emit_state(v: TensorVector, args: argparse.Namespace, heading: str) -> None
         f"factors: {list(v.factor_dims)}  norm: {_fmt(v.norm())}  "
         f"nonzero coefficients: {nonzero}/{v.dim}"
     )
-    for idx, z in enumerate(v.entries):
-        if abs(z) > 0:
-            word = np.unravel_index(idx, v.factor_dims)
-            print(f"  |{''.join(str(s) for s in word)}> : {_fmt_complex(complex(z))}")
+    idx = np.flatnonzero(np.abs(v.entries) > 0)
+    if idx.size:
+        lines = zip(_word_labels(idx, v.factor_dims), v.entries[idx].tolist())
+        print("\n".join(f"  |{word}> : {_fmt_complex(z)}" for word, z in lines))
+
+
+def _word_labels(idx: np.ndarray, dims: tuple[int, ...]) -> list[str]:
+    """Symbol digits of each flat index written side by side, e.g. '0110'."""
+    digits = np.stack(np.unravel_index(idx, dims), axis=-1)
+    if max(dims) > 10:
+        return ["".join(map(str, word)) for word in digits.tolist()]
+    codes = (digits + ord("0")).astype(np.uint8)
+    return codes.view(f"S{len(dims)}").ravel().astype(str).tolist()
 
 
 def _cmd_catalog(args: argparse.Namespace) -> int:

@@ -55,7 +55,7 @@ class EhmmModel:
 
     ``hidden[l]`` and ``emission[l]`` describe site l+1 (sites are 1-based in
     formulas).  A translation-invariant model stores a single pair and serves
-    it for every site.
+    it for every site; `validate` reports one that stores more.
     """
 
     pi: np.ndarray
@@ -136,6 +136,15 @@ def validate(model: EhmmModel) -> list[Violation]:
                 "sites",
                 f"{len(model.hidden)} hidden vs {len(model.emission)} emission matrices",
                 abs(len(model.hidden) - len(model.emission)),
+            )
+        )
+    stored = max(len(model.hidden), len(model.emission))
+    if model.translation_invariant and stored > 1:
+        out.append(
+            Violation(
+                "sites",
+                f"translation-invariant model stores {stored} site pairs, expected 1",
+                stored - 1,
             )
         )
     for idx, u in enumerate(model.hidden, start=1):

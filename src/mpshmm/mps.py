@@ -52,6 +52,10 @@ class SiteTensorSet:
         sites = tuple(tuple(as_matrix(a) for a in fam) for fam in self.sites)
         if not sites or not sites[0]:
             raise ValueError("tensor set needs at least one site with one symbol")
+        if self.translation_invariant and len(sites) > 1:
+            raise ValueError(
+                f"translation-invariant tensor set stores {len(sites)} sites, expected 1"
+            )
         m = sites[0][0].shape[0]
         d = len(sites[0])
         for l, fam in enumerate(sites, start=1):

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from mpshmm import catalog
+from mpshmm import bridge, catalog, ehmm, linalg, mps
 from mpshmm.bridge import (
     build_e_vector,
     decompose_tensors,
@@ -12,7 +14,8 @@ from mpshmm.bridge import (
     observed_mps,
     tensors_from_ehmm,
 )
-from mpshmm.ehmm import EhmmModel, stochastic_projections
+from mpshmm.ehmm import EhmmModel, build_psi_hon, stochastic_projections
+from mpshmm.linalg import TensorVector, partial_inner_product
 from mpshmm.mps import SiteTensorSet, build_state, gauge_check
 
 P0 = np.diag([1.0, 0.0]).astype(complex)
@@ -179,6 +182,116 @@ def test_round_trip_random_models():
             for n in (n_keep, n_keep + 1):
                 measured = observed_mps(model, n_keep, n)
                 assert np.max(np.abs(measured.entries - direct.entries)) <= 1e-10
+
+
+def _literal_observed_mps(model, n_keep, n):
+    """The defining route: joint state, boundary vector, permute, contract."""
+    psi = build_psi_hon(model, n)
+    bound = build_e_vector(model, n_keep, n)
+    hidden = list(range(n + 1))
+    trailing_obs = list(range(n + 1 + n_keep, 2 * n + 1))
+    kept_obs = list(range(n + 1, n + 1 + n_keep))
+    w = psi.permute_factors(hidden + trailing_obs + kept_obs)
+    return partial_inner_product(w, bound, len(hidden) + len(trailing_obs))
+
+
+# the literal route forms the m^(n+1) d^n joint state; larger cases are left out
+REFERENCE_CAP = 2**20
+
+
+def _assert_matches_literal(model, n_keep, n):
+    measured = observed_mps(model, n_keep, n)
+    literal = _literal_observed_mps(model, n_keep, n)
+    assert measured.factor_dims == literal.factor_dims == (model.d,) * n_keep
+    assert np.max(np.abs(measured.entries - literal.entries)) <= 1e-12
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("d", [2, 3])
+def test_sitewise_measurement_matches_literal_route(m, d):
+    checked = 0
+    for n_keep in range(1, 5):
+        model = catalog.random_model(m, d, n_keep + 3, 1000 * m + 10 * d + n_keep)
+        for n in range(n_keep, n_keep + 4):
+            if m ** (n + 1) * d**n <= REFERENCE_CAP:
+                _assert_matches_literal(model, n_keep, n)
+                checked += 1
+    assert checked >= 13
+
+
+def test_sitewise_measurement_matches_literal_route_non_unitary():
+    model = catalog.get("theta", theta=[0.3, 1.0, 2.0, 0.7, 1.4, 0.2, 2.5]).model
+    assert not all(ehmm.is_unitary(u) for u in model.hidden)
+    for n_keep in range(1, 5):
+        for n in range(n_keep, n_keep + 4):
+            _assert_matches_literal(model, n_keep, n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    m=st.integers(1, 3),
+    d=st.integers(2, 3),
+    n_keep=st.integers(1, 4),
+    extra=st.integers(0, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_sitewise_measurement_equals_literal_route_property(m, d, n_keep, extra, seed):
+    n = n_keep + extra
+    assume(m ** (n + 1) * d**n <= REFERENCE_CAP)
+    _assert_matches_literal(catalog.random_model(m, d, n, seed), n_keep, n)
+
+
+def test_long_chain_measurement_equals_direct_build():
+    model = catalog.get("cluster").model
+    direct = build_state(tensors_from_ehmm(model), 3)
+    measured = observed_mps(model, 3, 200)
+    assert np.max(np.abs(measured.entries - direct.entries)) <= 1e-10
+
+
+def test_measurement_size_cap_counts_kept_block():
+    model = catalog.random_model(3, 2, 6, 53)
+    needed = 3 * 3 * 2**4
+    assert observed_mps(model, 4, 6, size_cap=needed).dim == 2**4
+    with pytest.raises(ValueError, match="size cap"):
+        observed_mps(model, 4, 6, size_cap=needed - 1)
+
+
+def test_measurement_requires_positive_pi():
+    model = EhmmModel(
+        pi=np.array([1.0, 0.0]),
+        hidden=(np.eye(2, dtype=complex),),
+        emission=(np.eye(2, dtype=complex),),
+        translation_invariant=True,
+    )
+    with pytest.raises(ValueError, match="positive"):
+        observed_mps(model, 1, 2)
+
+
+def test_measurement_argument_errors():
+    model = catalog.get("ghz").model
+    with pytest.raises(ValueError, match="kept sites must be >= 1"):
+        observed_mps(model, 0, 2)
+    with pytest.raises(ValueError, match="must be >= kept sites"):
+        observed_mps(model, 3, 2)
+
+
+def test_sitewise_measurement_is_independent_of_other_routes(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("observed_mps used another route")
+
+    names = (
+        "build_e_vector",
+        "tensors_from_ehmm",
+        "build_psi_hon",
+        "partial_inner_product",
+        "build_state",
+        "_word_sums",
+    )
+    for module in (bridge, ehmm, linalg, mps):
+        for name in names:
+            monkeypatch.setattr(module, name, refuse, raising=False)
+    monkeypatch.setattr(TensorVector, "permute_factors", refuse)
+    assert observed_mps(catalog.random_model(2, 2, 5, 54), 3, 5).dim == 8
 
 
 # ---- classical extraction ----

@@ -1,10 +1,14 @@
+import argparse
 import json
 import re
 
+import numpy as np
 import pytest
 
-from mpshmm import serialize
-from mpshmm.cli import main
+from mpshmm import catalog, serialize
+from mpshmm.cli import _emit_state, _fmt_complex, main
+from mpshmm.ehmm import EhmmModel
+from mpshmm.linalg import TensorVector
 
 
 def test_catalog_list(capsys):
@@ -161,3 +165,43 @@ def test_unknown_catalog_name_message_is_unquoted(capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: unknown catalog name 'w-state'; known: ")
     assert not err.startswith('error: "')
+
+
+def test_translation_invariant_model_with_two_sites_is_usage_error(tmp_path, capsys):
+    model = catalog.random_model(2, 2, 2, 27)
+    shared = EhmmModel(
+        pi=model.pi, hidden=model.hidden, emission=model.emission, translation_invariant=True
+    )
+    path = tmp_path / "model.json"
+    serialize.dump_json(serialize.model_to_dict(shared), path)
+    assert main(["verify", "theorem1", "--model", str(path), "--N", "1", "--n", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "translation-invariant model stores 2 site pairs" in err
+
+
+@pytest.mark.parametrize("dims", [(2, 3, 2), (12, 2)])
+def test_state_table_matches_per_coefficient_format(capsys, dims):
+    rng = np.random.default_rng(sum(dims))
+    entries = rng.standard_normal(int(np.prod(dims))) + 1j * rng.standard_normal(int(np.prod(dims)))
+    entries[::3] = 0.0
+    entries[1::4] = entries[1::4].real
+    entries[2] = -0.25j
+    v = TensorVector(dims, entries)
+    _emit_state(v, argparse.Namespace(out=None, format="table"), "heading")
+    body = capsys.readouterr().out.splitlines()[2:]
+    expected = [
+        f"  |{''.join(str(s) for s in np.unravel_index(idx, dims))}> : "
+        f"{_fmt_complex(complex(z))}"
+        for idx, z in enumerate(entries)
+        if abs(z) > 0
+    ]
+    assert body == expected
+
+
+def test_state_table_of_zero_state_lists_no_words(capsys):
+    v = TensorVector((2, 2), np.zeros(4, dtype=complex))
+    _emit_state(v, argparse.Namespace(out=None, format="table"), "heading")
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "factors: [2, 2]  norm: 0  nonzero coefficients: 0/4"
+    ]

@@ -80,6 +80,19 @@ def test_bad_emission_row_names_index():
     assert any("emission[1] row 1" == v.location for v in report)
 
 
+def test_translation_invariant_model_with_several_sites_reported():
+    model = catalog.random_model(2, 2, 2, 26)
+    shared = EhmmModel(
+        pi=model.pi, hidden=model.hidden, emission=model.emission, translation_invariant=True
+    )
+    report = validate(shared)
+    assert [v.location for v in report] == ["sites"]
+    assert "translation-invariant model stores 2 site pairs" in report[0].message
+    with pytest.raises(ValueError, match="translation-invariant model stores 2"):
+        build_psi_hon(shared, 2)
+    assert validate(model) == []
+
+
 # ---- stochastic projections ----
 
 

@@ -106,6 +106,13 @@ def test_state_multilinear_in_site_family():
     assert np.allclose(psi_scaled.entries, 2.5 * psi_plain.entries)
 
 
+def test_translation_invariant_set_with_several_sites_rejected():
+    fam = catalog.get("cluster").tensors.sites[0]
+    with pytest.raises(ValueError, match="translation-invariant tensor set stores 2 sites"):
+        SiteTensorSet((fam, fam), translation_invariant=True)
+    assert SiteTensorSet((fam, fam)).n_sites == 2
+
+
 def test_cyclic_invariance_translation_invariant():
     t = catalog.get("aklt").tensors
     rng = np.random.default_rng(30)

@@ -184,8 +184,9 @@ def observed_mps(
     sites 1..N grow a block X[i1, word, i] from the identity, one matrix
     product per site against chi_l[i,k] U_l[i,j], with words in C order.  The
     e-vector weight sqrt(pi[i1]) conj(1/sqrt(pi[i1])), the periodic delta
-    i_{N+1} = i1 and r close the chain.  The size cap applies to X, the
-    largest array formed, with m^2 d^N entries.
+    i_{N+1} = i1 and r close the chain.  The size cap bounds both X, the
+    largest array formed, with m^2 d^N entries, and the n-N trailing sites
+    folded one Python step each, so the work stays bounded for any n.
     """
     require_valid(model)
     if n_keep < 1:
@@ -196,6 +197,8 @@ def observed_mps(
         raise ValueError("boundary vector needs strictly positive pi entries")
     m, d = model.m, model.d
     _check_cap(m * m * d**n_keep, size_cap)
+    if n - n_keep > size_cap:
+        raise ValueError(f"{n - n_keep} trailing sites exceed size cap {size_cap}")
 
     r = np.ones(m, dtype=np.complex128)
     for l in range(n, n_keep, -1):

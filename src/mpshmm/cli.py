@@ -11,6 +11,7 @@ from the MPSHMM_SIZE_CAP environment variable when set.
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import os
 import sys
@@ -127,12 +128,18 @@ def _emit_state(v: TensorVector, args: argparse.Namespace, heading: str) -> None
 
 
 def _word_labels(idx: np.ndarray, dims: tuple[int, ...]) -> list[str]:
-    """Symbol digits of each flat index written side by side, e.g. '0110'."""
-    digits = np.stack(np.unravel_index(idx, dims), axis=-1)
-    if max(dims) > 10:
-        return ["".join(map(str, word)) for word in digits.tolist()]
-    codes = (digits + ord("0")).astype(np.uint8)
-    return codes.view(f"S{len(dims)}").ravel().astype(str).tolist()
+    """Symbol digits of each flat index written side by side, e.g. '0110'.
+
+    Every label is a first-half word's label followed by a second-half
+    word's, so only the two halves' labels are built digit by digit.
+    """
+    half = len(dims) // 2
+    left, right = (
+        ["".join(word) for word in itertools.product(*(map(str, range(d)) for d in part))]
+        for part in (dims[:half], dims[half:])
+    )
+    hi, lo = np.divmod(idx, len(right))
+    return [left[i] + right[j] for i, j in zip(hi.tolist(), lo.tolist())]
 
 
 def _cmd_catalog(args: argparse.Namespace) -> int:

@@ -256,6 +256,15 @@ def test_measurement_size_cap_counts_kept_block():
         observed_mps(model, 4, 6, size_cap=needed - 1)
 
 
+def test_measurement_size_cap_counts_trailing_fold():
+    model = catalog.get("cluster").model
+    assert observed_mps(model, 3, 203, size_cap=200).dim == 2**3
+    with pytest.raises(ValueError, match="size cap"):
+        observed_mps(model, 3, 204, size_cap=200)
+    with pytest.raises(ValueError, match="size cap"):
+        observed_mps(model, 3, 10**9)
+
+
 def test_measurement_requires_positive_pi():
     model = EhmmModel(
         pi=np.array([1.0, 0.0]),

@@ -180,7 +180,7 @@ def test_translation_invariant_model_with_two_sites_is_usage_error(tmp_path, cap
     assert "translation-invariant model stores 2 site pairs" in err
 
 
-@pytest.mark.parametrize("dims", [(2, 3, 2), (12, 2)])
+@pytest.mark.parametrize("dims", [(2, 3, 2), (12, 2), (3,), (2, 12, 3)])
 def test_state_table_matches_per_coefficient_format(capsys, dims):
     rng = np.random.default_rng(sum(dims))
     entries = rng.standard_normal(int(np.prod(dims))) + 1j * rng.standard_normal(int(np.prod(dims)))

@@ -14,7 +14,6 @@ by singular values.
 
 from __future__ import annotations
 
-import string
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,6 +21,7 @@ import numpy as np
 from .ehmm import (
     DEFAULT_SIZE_CAP,
     EhmmModel,
+    _chain_step,
     _check_cap,
     is_unitary,
     require_valid,
@@ -131,29 +131,14 @@ def build_e_vector(
     m, d = model.m, model.d
     if float(model.pi.min()) <= 0.0:
         raise ValueError("boundary vector needs strictly positive pi entries")
-    total = m ** (n + 1) * d ** (n - n_keep)
-    if total > size_cap:
-        raise ValueError(f"state of {total} entries exceeds size cap {size_cap}")
+    _check_cap(m ** (n + 1) * d ** (n - n_keep), size_cap)
 
     # tail over (i_{N+1}, ..., i_{n+1}, k_{N+1}, ..., k_n)
     n_tail = n - n_keep
-    if n_tail == 0:
-        tail = np.ones(m, dtype=np.complex128)
-        tail_dims: tuple[int, ...] = (m,)
-    else:
-        hid = list(string.ascii_letters[: n_tail + 1])
-        obs = list(string.ascii_letters[n_tail + 1 : 2 * n_tail + 1])
-        subs = [hid[t] + hid[t + 1] for t in range(n_tail)]
-        subs += [hid[t] + obs[t] for t in range(n_tail)]
-        us = [model.hidden_at(l) for l in range(n_keep + 1, n + 1)]
-        chis = [model.emission_at(l) for l in range(n_keep + 1, n + 1)]
-        tail = np.einsum(
-            ",".join(subs) + "->" + "".join(hid) + "".join(obs),
-            *us,
-            *chis,
-            optimize=True,
-        )
-        tail_dims = (m,) * (n_tail + 1) + (d,) * n_tail
+    tail = np.ones((1, m, 1), dtype=np.complex128)
+    for l in range(n_keep + 1, n + 1):
+        tail = _chain_step(tail, model.hidden_at(l), model.emission_at(l))
+    tail_dims = (m,) * (n_tail + 1) + (d,) * n_tail
 
     inv_sqrt_pi = 1.0 / np.sqrt(model.pi)
     mid = m ** (n_keep - 1)

@@ -18,7 +18,6 @@ then observation factors, both lexicographic.
 from __future__ import annotations
 
 import math
-import string
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,7 +43,6 @@ __all__ = [
     "build_psi_hon",
     "build_psi_hn",
     "build_psi_on",
-    "psi_on_reading_gap",
     "observation_from_joint",
 ]
 
@@ -110,6 +108,36 @@ class Violation:
     magnitude: float
 
 
+def _row_violations(
+    kind: str, mats: tuple[np.ndarray, ...], shape: tuple[int, int]
+) -> list[Violation]:
+    """Shape and unit-row-norm violations of one matrix family, in site order.
+
+    The squared-modulus row sums of every matrix of the expected shape come
+    from one reduction over their rows stacked end to end.
+    """
+    fits = [a.shape == shape for a in mats]
+    sites = [idx for idx, fit in enumerate(fits, start=1) if fit]
+    by_site: dict[int, list[Violation]] = {}
+    if sites:
+        sums = (np.abs(np.concatenate([mats[s - 1] for s in sites])) ** 2).sum(axis=1)
+        dev = np.abs(sums - 1.0)
+        for r in np.flatnonzero(dev > ROW_NORM_TOL):
+            site, row = sites[r // shape[0]], r % shape[0]
+            by_site.setdefault(site, []).append(
+                Violation(
+                    f"{kind}[{site}] row {row}", f"squared-modulus row sum = {sums[r]}", dev[r]
+                )
+            )
+    out: list[Violation] = []
+    for idx, (a, fit) in enumerate(zip(mats, fits), start=1):
+        if fit:
+            out += by_site.get(idx, [])
+        else:
+            out.append(Violation(f"{kind}[{idx}]", f"shape {a.shape} != {shape}", 0.0))
+    return out
+
+
 def validate(model: EhmmModel) -> list[Violation]:
     """Check every model invariant; an empty report means valid."""
     out: list[Violation] = []
@@ -147,33 +175,8 @@ def validate(model: EhmmModel) -> list[Violation]:
                 stored - 1,
             )
         )
-    for idx, u in enumerate(model.hidden, start=1):
-        if u.shape != (m, m):
-            out.append(Violation(f"hidden[{idx}]", f"shape {u.shape} != ({m}, {m})", 0.0))
-            continue
-        rows = np.abs(u) ** 2
-        for i, rsum in enumerate(rows.sum(axis=1)):
-            if abs(rsum - 1.0) > ROW_NORM_TOL:
-                out.append(
-                    Violation(
-                        f"hidden[{idx}] row {i}",
-                        f"squared-modulus row sum = {rsum}",
-                        abs(rsum - 1.0),
-                    )
-                )
-    for idx, c in enumerate(model.emission, start=1):
-        if c.shape != (m, d):
-            out.append(Violation(f"emission[{idx}]", f"shape {c.shape} != ({m}, {d})", 0.0))
-            continue
-        for i, rsum in enumerate((np.abs(c) ** 2).sum(axis=1)):
-            if abs(rsum - 1.0) > ROW_NORM_TOL:
-                out.append(
-                    Violation(
-                        f"emission[{idx}] row {i}",
-                        f"squared-modulus row sum = {rsum}",
-                        abs(rsum - 1.0),
-                    )
-                )
+    out += _row_violations("hidden", model.hidden, (m, m))
+    out += _row_violations("emission", model.emission, (m, d))
     return out
 
 
@@ -253,10 +256,25 @@ def _check_cap(entries: int, size_cap: int) -> None:
         raise ValueError(f"state of {entries} entries exceeds size cap {size_cap}")
 
 
-def _letters(count: int) -> list[str]:
-    if count > len(string.ascii_letters):
-        raise ValueError("too many tensor factors for einsum construction")
-    return list(string.ascii_letters[:count])
+def _chain_step(
+    x: np.ndarray, u: np.ndarray, chi: np.ndarray, sum_hidden: bool = False
+) -> np.ndarray:
+    """Advance the hidden chain by one site.
+
+    ``x[h, i, w]`` holds the chain so far: the kept hidden prefix h, the
+    current hidden index i and the observation prefix w, both in C order.
+    The site multiplies in u[i, j] * chi[i, k], moves to the next hidden
+    index j and appends k to w.  Kept, i joins the hidden prefix (one
+    broadcast); summed, x must be (1, m, W) and i is summed by one GEMM.
+    """
+    h, m, w = x.shape
+    out_m, d = u.shape[1], chi.shape[1]
+    if sum_hidden:
+        y = (x[0, :, :, None] * chi[:, None, :]).reshape(m, -1)
+        return (u.T @ y).reshape(1, out_m, w * d)
+    site = u[:, :, None] * chi[:, None, :]
+    out = x[:, :, None, :, None] * site[None, :, :, None, :]
+    return out.reshape(h * m, out_m, w * d)
 
 
 def build_psi_hon(
@@ -271,23 +289,10 @@ def build_psi_hon(
         raise ValueError("n must be >= 1")
     m, d = model.m, model.d
     _check_cap(m ** (n + 1) * d**n, size_cap)
-    us = [model.hidden_at(l) for l in range(1, n + 1)]
-    chis = [model.emission_at(l) for l in range(1, n + 1)]
-
-    hid = _letters(2 * n + 1)[: n + 1]
-    obs = _letters(2 * n + 1)[n + 1 :]
-    subs = [hid[0]]
-    subs += [hid[l] + hid[l + 1] for l in range(n)]
-    subs += [hid[l] + obs[l] for l in range(n)]
-    out = "".join(hid) + "".join(obs)
-    coeff = np.einsum(
-        ",".join(subs) + "->" + out,
-        np.sqrt(model.pi.astype(np.complex128)),
-        *us,
-        *chis,
-        optimize=True,
-    )
-    return TensorVector((m,) * (n + 1) + (d,) * n, coeff.reshape(-1))
+    x = np.sqrt(model.pi.astype(np.complex128)).reshape(1, m, 1)
+    for l in range(1, n + 1):
+        x = _chain_step(x, model.hidden_at(l), model.emission_at(l))
+    return TensorVector((m,) * (n + 1) + (d,) * n, x.reshape(-1))
 
 
 def build_psi_hn(
@@ -299,74 +304,39 @@ def build_psi_hn(
         raise ValueError("n must be >= 1")
     m = model.m
     _check_cap(m ** (n + 1), size_cap)
-    us = [model.hidden_at(l) for l in range(1, n + 1)]
-    hid = _letters(n + 1)
-    subs = [hid[0]] + [hid[l] + hid[l + 1] for l in range(n)]
-    coeff = np.einsum(
-        ",".join(subs) + "->" + "".join(hid),
-        np.sqrt(model.pi.astype(np.complex128)),
-        *us,
-        optimize=True,
-    )
-    return TensorVector((m,) * (n + 1), coeff.reshape(-1))
+    x = np.sqrt(model.pi.astype(np.complex128)).reshape(1, m, 1)
+    no_emission = np.ones((m, 1))
+    for l in range(1, n + 1):
+        x = _chain_step(x, model.hidden_at(l), no_emission)
+    return TensorVector((m,) * (n + 1), x.reshape(-1))
 
 
 def build_psi_on(
-    model: EhmmModel,
-    n: int,
-    size_cap: int = DEFAULT_SIZE_CAP,
-    shifted_transitions: bool = False,
+    model: EhmmModel, n: int, size_cap: int = DEFAULT_SIZE_CAP
 ) -> TensorVector:
     """Observation-process vector on n observation factors (not unit norm).
 
-    Coefficients chain the classical transition matrices between consecutive
-    hidden indices and weight each site with the emission amplitudes:
+    Coefficients chain the classical transition matrices of sites 1..n-1
+    between consecutive hidden indices and weight each site with the
+    emission amplitudes:
 
-        sum_{i1..in} pi[i1] * Pi[i1,i2] * ... * Pi[i_{n-1},i_n]
+        sum_{i1..in} pi[i1] * Pi_1[i1,i2] * ... * Pi_{n-1}[i_{n-1},i_n]
                             * chi[1][i1,k1] * ... * chi[n][i_n,k_n]
 
-    Which site matrices supply the n-1 transition factors is ambiguous for
-    site-dependent models: the default uses sites 1..n-1, and
-    ``shifted_transitions=True`` selects sites 2..n instead.  Both coincide
-    for translation-invariant models; the default additionally equals the
-    partial-inner-product route exactly, which is why it is the default.
+    This is the site numbering the partial-inner-product route
+    (`observation_from_joint`) gives, also for site-dependent models.
     """
     require_valid(model)
     if n < 1:
         raise ValueError("n must be >= 1")
     m, d = model.m, model.d
     _check_cap(d**n, size_cap)
-    offset = 1 if shifted_transitions else 0
-    trans = [
-        np.abs(model.hidden_at(l + offset)) ** 2 for l in range(1, n)
-    ]  # n-1 factors; empty when n == 1
-    chis = [model.emission_at(l) for l in range(1, n + 1)]
-
-    hid = _letters(2 * n)[:n]
-    obs = _letters(2 * n)[n:]
-    subs = [hid[0]]
-    subs += [hid[l] + hid[l + 1] for l in range(n - 1)]
-    subs += [hid[l] + obs[l] for l in range(n)]
-    coeff = np.einsum(
-        ",".join(subs) + "->" + "".join(obs),
-        model.pi.astype(np.complex128),
-        *trans,
-        *chis,
-        optimize=True,
-    )
-    return TensorVector((d,) * n, coeff.reshape(-1))
-
-
-def psi_on_reading_gap(model: EhmmModel, n: int) -> float:
-    """Max entrywise gap between the two transition-site numberings.
-
-    Zero for translation-invariant models; a nonzero value flags that the
-    site-numbering ambiguity is live for this model, in which case the
-    partial-inner-product route (equal to the default numbering) governs.
-    """
-    default = build_psi_on(model, n)
-    shifted = build_psi_on(model, n, shifted_transitions=True)
-    return float(np.max(np.abs(default.entries - shifted.entries)))
+    x = model.pi.astype(np.complex128).reshape(1, m, 1)
+    for l in range(1, n + 1):
+        # the last site has no transition; summing i_n is a column of ones
+        trans = np.abs(model.hidden_at(l)) ** 2 if l < n else np.ones((m, 1))
+        x = _chain_step(x, trans, model.emission_at(l), sum_hidden=True)
+    return TensorVector((d,) * n, x.reshape(-1))
 
 
 def observation_from_joint(model: EhmmModel, n: int, size_cap: int = DEFAULT_SIZE_CAP) -> TensorVector:

@@ -1,12 +1,13 @@
 """Density matrices, quantum relative entropy, and the divergence lower bound.
 
 Two observation density matrices are built for the same object: a transfer
-formula chaining Schur products of site tensors, and the literal partial
-trace of the joint pure state over all hidden factors.  They agree whenever
-the tensors come from a model, and the pair doubles as a cross-check.  The
-trace route never forms the joint |psi><psi|: with the joint state reshaped
-to B of shape (hidden, observed), tracing out the hidden factors is the Gram
-matrix B^T conj(B).
+formula chaining Schur products of site tensors, and the partial trace of
+the joint pure state over all hidden factors.  They agree whenever the
+tensors come from a model, and the pair doubles as a cross-check.  The trace
+route forms neither the joint state nor |psi><psi|: tracing out the hidden
+factors leaves pi and the classical transitions |U|^2 of the hidden Markov
+chain, so sigma is a forward recursion over that chain (the HMM forward
+algorithm run over pairs of words).
 
 The lower bound compares the periodic-MPS density (1/m)|psi><psi| against
 the observation density: dephasing both in the word basis turns the relative
@@ -25,7 +26,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bridge import tensors_from_ehmm
-from .ehmm import DEFAULT_SIZE_CAP, EhmmModel, _check_cap, build_psi_hon, is_unitary
+from .ehmm import (
+    DEFAULT_SIZE_CAP,
+    EhmmModel,
+    _chain_step,
+    _check_cap,
+    is_unitary,
+    require_valid,
+)
 from .linalg import SUPPORT_EPS, as_matrix, hermitian_eig
 from .mps import SiteTensorSet, _site_stacks, _word_sums, build_state
 
@@ -128,24 +136,48 @@ def observation_density_formula(
     return DensityMatrix(math.sqrt(t.m) * mat, (t.d,) * n_sites)
 
 
-def _observation_gram(model: EhmmModel, n_sites: int, size_cap: int) -> np.ndarray:
-    """Partial trace of the joint state over its hidden factors, as a matrix.
+def _hidden_chain_density(model: EhmmModel, n_sites: int, size_cap: int) -> np.ndarray:
+    """Observation density of a valid model by a forward recursion over its hidden chain.
 
-    sigma[k, k'] = sum_h psi[h, k] conj(psi[h, k']), i.e. B^T conj(B) with
-    B the joint state reshaped to (m^(N+1), d^N).
+    sigma[w, w'] = sum_{i_1..i_{N+1}} pi[i_1] prod_l |U_l[i_l, i_{l+1}]|^2
+    chi_l[i_l, k_l] conj(chi_l[i_l, k'_l]), the joint state's partial trace
+    over its hidden factors.  Each site is one `_chain_step` over the pair
+    alphabet (k, k'), carrying an (m, d^l * d^l) array; the last site sums
+    i_{N+1} through the computed row sums of |U_N|^2.  The pair axes are
+    unzipped to (word, word') at the end.
     """
-    n_words = model.d**n_sites
+    m, d = model.m, model.d
+    n_words = d**n_sites
     _check_cap(n_words * n_words, size_cap)
-    psi = build_psi_hon(model, n_sites, size_cap)
-    b = psi.entries.reshape(-1, n_words)
-    return b.T @ b.conj()
+    if m * n_words * n_words > size_cap:
+        raise ValueError(
+            f"observation-density recursion of {m * n_words * n_words} entries "
+            f"exceeds size cap {size_cap}"
+        )
+    x = model.pi.astype(np.complex128).reshape(1, m, 1)
+    for l in range(1, n_sites + 1):
+        chi = model.emission_at(l)
+        pair = (chi[:, :, None] * chi.conj()[:, None, :]).reshape(m, d * d)
+        trans = np.abs(model.hidden_at(l)) ** 2
+        if l == n_sites:
+            trans = trans.sum(axis=1, keepdims=True)
+        x = _chain_step(x, trans, pair, sum_hidden=True)
+    # x runs over pair words (k1 k1')..(kN kN'); unzip them to (word, word')
+    order = [*range(0, 2 * n_sites, 2), *range(1, 2 * n_sites, 2)]
+    return x.reshape((d,) * (2 * n_sites)).transpose(order).reshape(n_words, n_words)
 
 
 def observation_density_trace(
     model: EhmmModel, n_sites: int, size_cap: int = DEFAULT_SIZE_CAP
 ) -> DensityMatrix:
-    """Observation density as the partial trace of the joint pure state."""
-    return DensityMatrix(_observation_gram(model, n_sites, size_cap), (model.d,) * n_sites)
+    """Observation density: the joint pure state traced over its hidden factors.
+
+    Computed by the hidden-chain recursion; the joint state is never formed.
+    """
+    require_valid(model)
+    return DensityMatrix(
+        _hidden_chain_density(model, n_sites, size_cap), (model.d,) * n_sites
+    )
 
 
 def diagonal_channel(rho: DensityMatrix) -> DensityMatrix:
@@ -315,20 +347,21 @@ def check_bound(
 ) -> BoundReport:
     """Run the full lower-bound pipeline for a model at N sites.
 
-    The observation density sigma comes from the trace route (a Gram matrix
-    of the joint state) and is eigendecomposed once.  The MPS density
-    (1/m)|psi><psi| has rank one, so S against sigma is
-    t ln t - t <v|log sigma|v> with t = |psi|^2 / m and v = psi / |psi|.
-    Both densities dephased are diagonal, so their S is the classical
-    divergence between |psi|^2 / m and diag(sigma).  Support cuts at ``eps``
-    match `relative_entropy`, which stays the literal oracle.  The RHS word
-    terms are evaluated once and weighted for both the literal and the
-    unit-trace bound.
+    The observation density sigma comes from the trace route (the
+    hidden-chain recursion, which never forms the joint state) and is
+    eigendecomposed once; the model is validated once, by
+    `tensors_from_ehmm`.  The MPS density (1/m)|psi><psi| has rank one, so
+    S against sigma is t ln t - t <v|log sigma|v> with t = |psi|^2 / m and
+    v = psi / |psi|.  Both densities dephased are diagonal, so their S is
+    the classical divergence between |psi|^2 / m and diag(sigma).  Support
+    cuts at ``eps`` match `relative_entropy`, which stays the literal
+    oracle.  The RHS word terms are evaluated once and weighted for both
+    the literal and the unit-trace bound.
     """
     t = tensors_from_ehmm(model, require_unitary=False)
     hidden_unitary = all(is_unitary(u) for u in model.hidden)
     psi = build_state(t, n_sites, size_cap).entries
-    sigma = _observation_gram(model, n_sites, size_cap)
+    sigma = _hidden_chain_density(model, n_sites, size_cap)
 
     spec = hermitian_eig(sigma)
     mu = spec.eigenvalues

@@ -1,4 +1,5 @@
 import math
+import string
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from mpshmm.bridge import (
 from mpshmm.ehmm import EhmmModel, build_psi_hon, stochastic_projections
 from mpshmm.linalg import TensorVector, partial_inner_product
 from mpshmm.mps import SiteTensorSet, build_state, gauge_check
+from test_ehmm import CHAIN_CASES
 
 P0 = np.diag([1.0, 0.0]).astype(complex)
 P1 = np.diag([0.0, 1.0]).astype(complex)
@@ -119,6 +121,54 @@ def test_boundary_vector_requires_positive_pi():
 def test_boundary_vector_n_ordering():
     with pytest.raises(ValueError):
         build_e_vector(catalog.get("ghz").model, 3, 2)
+
+
+def einsum_e_vector(model, n_keep, n):
+    """The boundary vector with its tail as one einsum over 2(n-N)+1 factors."""
+    m, d = model.m, model.d
+    n_tail = n - n_keep
+    if n_tail == 0:
+        tail = np.ones(m, dtype=np.complex128)
+        tail_dims = (m,)
+    else:
+        hid = list(string.ascii_letters[: n_tail + 1])
+        obs = list(string.ascii_letters[n_tail + 1 : 2 * n_tail + 1])
+        subs = [hid[t] + hid[t + 1] for t in range(n_tail)]
+        subs += [hid[t] + obs[t] for t in range(n_tail)]
+        us = [model.hidden_at(l) for l in range(n_keep + 1, n + 1)]
+        chis = [model.emission_at(l) for l in range(n_keep + 1, n + 1)]
+        tail = np.einsum(
+            ",".join(subs) + "->" + "".join(hid) + "".join(obs), *us, *chis, optimize=True
+        )
+        tail_dims = (m,) * (n_tail + 1) + (d,) * n_tail
+    rest = tail.size // m
+    out = np.zeros((m, m ** (n_keep - 1), m, rest), dtype=np.complex128)
+    tail_flat = tail.reshape(m, rest)
+    for i in range(m):
+        out[i, :, i, :] = tail_flat[i][None, :] / np.sqrt(model.pi[i])
+    return (m,) * n_keep + tail_dims, out.reshape(-1)
+
+
+@pytest.mark.parametrize("name, model", CHAIN_CASES, ids=[c[0] for c in CHAIN_CASES])
+def test_boundary_vector_equals_einsum_reference(name, model):
+    for n in range(1, 6):
+        for n_keep in range(1, n + 1):
+            vec = build_e_vector(model, n_keep, n)
+            dims, want = einsum_e_vector(model, n_keep, n)
+            assert vec.factor_dims == dims
+            assert np.max(np.abs(vec.entries - want)) <= 1e-14, (name, n_keep, n)
+
+
+def test_boundary_vector_past_einsum_letter_limit():
+    model = EhmmModel(
+        pi=np.array([1.0]),
+        hidden=(np.array([[1.0]]),),
+        emission=(np.array([[1.0]]),),
+        translation_invariant=True,
+    )
+    vec = build_e_vector(model, 1, 40)
+    assert vec.factor_dims == (1,) * 80
+    assert np.allclose(vec.entries, [1.0])
 
 
 # ---- partial measurement ----

@@ -1,11 +1,15 @@
 import math
+import string
 
 import numpy as np
 import pytest
 
 from mpshmm import catalog
 from mpshmm.ehmm import (
+    PI_SUM_TOL,
+    ROW_NORM_TOL,
     EhmmModel,
+    Violation,
     build_psi_hn,
     build_psi_hon,
     build_psi_on,
@@ -317,13 +321,6 @@ def test_observation_state_equals_partial_inner_product():
     )
 
 
-def test_shifted_reading_differs_for_site_dependent_models():
-    rnd = catalog.random_model(2, 2, 5, 24)
-    printed = build_psi_on(rnd, 3)
-    shifted = build_psi_on(rnd, 3, shifted_transitions=True)
-    assert np.max(np.abs(printed.entries - shifted.entries)) > 1e-6
-
-
 def test_back_measurement_against_observation_vector_is_computable():
     from mpshmm.linalg import partial_inner_product
 
@@ -351,3 +348,217 @@ def test_site_dependent_model_length_guard():
     model = catalog.random_model(2, 2, 2, 25)
     with pytest.raises(ValueError, match="exceeds"):
         build_psi_hon(model, 3)
+
+
+# ---- chain builders against the literal einsum contractions ----
+
+
+def _letters(count):
+    return list(string.ascii_letters[:count])
+
+
+def einsum_psi_hon(model, n):
+    """The joint state as one einsum over all 2n+1 factors (52-letter limit)."""
+    us = [model.hidden_at(l) for l in range(1, n + 1)]
+    chis = [model.emission_at(l) for l in range(1, n + 1)]
+    hid = _letters(2 * n + 1)[: n + 1]
+    obs = _letters(2 * n + 1)[n + 1 :]
+    subs = [hid[0]]
+    subs += [hid[l] + hid[l + 1] for l in range(n)]
+    subs += [hid[l] + obs[l] for l in range(n)]
+    out = "".join(hid) + "".join(obs)
+    coeff = np.einsum(
+        ",".join(subs) + "->" + out,
+        np.sqrt(model.pi.astype(np.complex128)),
+        *us,
+        *chis,
+        optimize=True,
+    )
+    return coeff.reshape(-1)
+
+
+def einsum_psi_hn(model, n):
+    us = [model.hidden_at(l) for l in range(1, n + 1)]
+    hid = _letters(n + 1)
+    subs = [hid[0]] + [hid[l] + hid[l + 1] for l in range(n)]
+    coeff = np.einsum(
+        ",".join(subs) + "->" + "".join(hid),
+        np.sqrt(model.pi.astype(np.complex128)),
+        *us,
+        optimize=True,
+    )
+    return coeff.reshape(-1)
+
+
+def einsum_psi_on(model, n):
+    trans = [np.abs(model.hidden_at(l)) ** 2 for l in range(1, n)]
+    chis = [model.emission_at(l) for l in range(1, n + 1)]
+    hid = _letters(2 * n)[:n]
+    obs = _letters(2 * n)[n:]
+    subs = [hid[0]]
+    subs += [hid[l] + hid[l + 1] for l in range(n - 1)]
+    subs += [hid[l] + obs[l] for l in range(n)]
+    coeff = np.einsum(
+        ",".join(subs) + "->" + "".join(obs),
+        model.pi.astype(np.complex128),
+        *trans,
+        *chis,
+        optimize=True,
+    )
+    return coeff.reshape(-1)
+
+
+def _chain_cases():
+    """Site-dependent and translation-invariant random models, m in 1..3, d in 2..3."""
+    cases = []
+    for m in (1, 2, 3):
+        for d in (2, 3):
+            rnd = catalog.random_model(m, d, 5, 300 + 10 * m + d)
+            shared = EhmmModel(
+                pi=rnd.pi,
+                hidden=rnd.hidden[:1],
+                emission=rnd.emission[:1],
+                translation_invariant=True,
+            )
+            cases += [(f"m{m}-d{d}-sites", rnd), (f"m{m}-d{d}-shared", shared)]
+    return cases
+
+
+CHAIN_CASES = _chain_cases()
+
+
+@pytest.mark.parametrize("name, model", CHAIN_CASES, ids=[c[0] for c in CHAIN_CASES])
+def test_chain_builders_equal_einsum_reference(name, model):
+    for n in range(1, 6):
+        pairs = [
+            (build_psi_hon(model, n).entries, einsum_psi_hon(model, n)),
+            (build_psi_hn(model, n).entries, einsum_psi_hn(model, n)),
+            (build_psi_on(model, n).entries, einsum_psi_on(model, n)),
+        ]
+        for got, want in pairs:
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-14, (name, n)
+
+
+def test_chain_builders_past_einsum_letter_limit():
+    # 2n+1 = 61 and 2n = 80 tensor factors; one einsum string has 52 letters
+    model = trivial_model()
+    assert np.allclose(build_psi_hon(model, 30).entries, [1.0])
+    assert np.allclose(build_psi_on(model, 40).entries, [1.0])
+    assert np.allclose(build_psi_hn(model, 60).entries, [1.0])
+
+
+# ---- vectorized validation against the per-row loop ----
+
+
+def loop_validate(model):
+    """The per-row reference: every matrix and row checked in a Python loop."""
+    out = []
+    m, d = model.m, model.d
+    pi = model.pi
+    if pi.size != m:
+        out.append(Violation("pi", f"length {pi.size} != hidden dim {m}", abs(pi.size - m)))
+    finite = np.isfinite(pi)
+    if not finite.all():
+        bad = pi[~finite][0]
+        out.append(Violation("pi", f"non-finite entry {bad}", math.inf))
+    else:
+        neg = float(pi.min(initial=0.0))
+        if neg < 0:
+            out.append(Violation("pi", f"negative entry {neg}", -neg))
+        s = float(pi.sum())
+        if abs(s - 1.0) > PI_SUM_TOL:
+            out.append(Violation("pi", f"pi sum = {s}", abs(s - 1.0)))
+    if len(model.hidden) != len(model.emission):
+        out.append(
+            Violation(
+                "sites",
+                f"{len(model.hidden)} hidden vs {len(model.emission)} emission matrices",
+                abs(len(model.hidden) - len(model.emission)),
+            )
+        )
+    stored = max(len(model.hidden), len(model.emission))
+    if model.translation_invariant and stored > 1:
+        out.append(
+            Violation(
+                "sites",
+                f"translation-invariant model stores {stored} site pairs, expected 1",
+                stored - 1,
+            )
+        )
+    for idx, u in enumerate(model.hidden, start=1):
+        if u.shape != (m, m):
+            out.append(Violation(f"hidden[{idx}]", f"shape {u.shape} != ({m}, {m})", 0.0))
+            continue
+        rows = np.abs(u) ** 2
+        for i, rsum in enumerate(rows.sum(axis=1)):
+            if abs(rsum - 1.0) > ROW_NORM_TOL:
+                out.append(
+                    Violation(
+                        f"hidden[{idx}] row {i}",
+                        f"squared-modulus row sum = {rsum}",
+                        abs(rsum - 1.0),
+                    )
+                )
+    for idx, c in enumerate(model.emission, start=1):
+        if c.shape != (m, d):
+            out.append(Violation(f"emission[{idx}]", f"shape {c.shape} != ({m}, {d})", 0.0))
+            continue
+        for i, rsum in enumerate((np.abs(c) ** 2).sum(axis=1)):
+            if abs(rsum - 1.0) > ROW_NORM_TOL:
+                out.append(
+                    Violation(
+                        f"emission[{idx}] row {i}",
+                        f"squared-modulus row sum = {rsum}",
+                        abs(rsum - 1.0),
+                    )
+                )
+    return out
+
+
+def _malformed_models():
+    rnd = catalog.random_model(3, 2, 4, 330)
+    hidden, emission = list(rnd.hidden), list(rnd.emission)
+    scaled = [h.copy() for h in hidden]
+    scaled[1][2] *= 1.1  # one bad row at site 2
+    scaled[3] *= 0.5  # every row bad at site 4
+    shaped = list(scaled)
+    shaped[2] = np.eye(2, dtype=complex)  # wrong shape between sites with bad rows
+    bad_chi = [c.copy() for c in emission]
+    bad_chi[0][0] = 0.0
+    bad_chi[3] = np.ones((3, 3), dtype=complex)
+    wide = catalog.random_model(9, 2, 2, 331)
+    wide_h = [h.copy() for h in wide.hidden]
+    wide_h[0][4] *= 1 + 1e-9
+    wide_h[1][8] *= 1 + 1e-11  # within tolerance
+    return [
+        ("valid", rnd),
+        ("rows", EhmmModel(pi=rnd.pi, hidden=tuple(scaled), emission=rnd.emission)),
+        ("shape", EhmmModel(pi=rnd.pi, hidden=tuple(shaped), emission=rnd.emission)),
+        (
+            "shapes-and-rows",
+            EhmmModel(pi=rnd.pi, hidden=tuple(scaled[:3]), emission=tuple(bad_chi)),
+        ),
+        (
+            "nan-pi",
+            EhmmModel(pi=np.array([0.5, np.nan, 0.5]), hidden=tuple(scaled), emission=rnd.emission),
+        ),
+        (
+            "pi-length-shared",
+            EhmmModel(
+                pi=np.array([0.7, 0.6]),
+                hidden=tuple(shaped),
+                emission=tuple(bad_chi),
+                translation_invariant=True,
+            ),
+        ),
+        ("wide", EhmmModel(pi=wide.pi, hidden=tuple(wide_h), emission=wide.emission)),
+    ]
+
+
+MALFORMED_MODELS = _malformed_models()
+
+
+@pytest.mark.parametrize("name, model", MALFORMED_MODELS, ids=[c[0] for c in MALFORMED_MODELS])
+def test_validate_equals_per_row_loop(name, model):
+    assert validate(model) == loop_validate(model)

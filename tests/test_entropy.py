@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from mpshmm import catalog
 from mpshmm.bridge import tensors_from_ehmm
@@ -343,6 +345,62 @@ def test_gram_trace_route_equals_explicit_partial_trace():
         for n in (1, 2, 3):
             gram = observation_density_trace(model, n).matrix
             assert np.max(np.abs(gram - explicit_partial_trace(model, n))) <= 1e-12
+
+
+# explicit_partial_trace forms the (m^(N+1) d^N)^2 joint outer product
+OUTER_CAP = 2**20
+
+
+def partial_trace_reference(model, n):
+    """explicit_partial_trace, or the joint state's Gram matrix where the outer product is too big."""
+    psi = build_psi_hon(model, n)
+    if psi.dim**2 <= OUTER_CAP:
+        return explicit_partial_trace(model, n)
+    b = psi.entries.reshape(-1, model.d**n)
+    return b.T @ b.conj()
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("d", [2, 3])
+def test_hidden_chain_density_equals_partial_trace(m, d):
+    for n in range(1, 5):
+        model = catalog.random_model(m, d, n, 500 + 100 * m + 10 * d + n)
+        sigma = observation_density_trace(model, n).matrix
+        assert np.max(np.abs(sigma - partial_trace_reference(model, n))) <= 1e-12
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    m=st.integers(1, 3),
+    d=st.integers(2, 3),
+    n=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_hidden_chain_density_equals_partial_trace_property(m, d, n, seed):
+    assume((m ** (n + 1) * d**n) ** 2 <= OUTER_CAP)
+    model = catalog.random_model(m, d, n, seed)
+    sigma = observation_density_trace(model, n).matrix
+    assert np.max(np.abs(sigma - explicit_partial_trace(model, n))) <= 1e-12
+
+
+def test_check_bound_random_model_beyond_joint_state_reach():
+    # the joint state at N=9 would hold 3^10 * 2^9 entries, above the cap
+    for seed in (7, 8):
+        rep = check_bound(catalog.random_model(3, 2, 9, seed), 9)
+        assert rep.holds and rep.holds_normalized
+        assert abs(rep.rhs_value_normalized - rep.s_diag_normalized) <= 1e-10
+
+
+def test_size_cap_counts_observation_density_recursion():
+    # m=2, d=3, N=3: sigma 729 entries, recursion 2 * 729 = 1458
+    model = catalog.random_model(2, 3, 3, 74)
+    for refuse in (
+        lambda: check_bound(model, 3, size_cap=1457),
+        lambda: observation_density_trace(model, 3, size_cap=1000),
+    ):
+        with pytest.raises(ValueError, match="recursion of 1458 entries exceeds size cap"):
+            refuse()
+    assert check_bound(model, 3, size_cap=1458).holds
 
 
 def test_check_bound_ghz_beyond_joint_outer_product_reach():

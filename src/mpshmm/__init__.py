@@ -5,22 +5,13 @@ tensor-factorization feasibility, and the relative-entropy lower bound."""
 from .linalg import (
     TensorVector,
     HermitianSpectrum,
-    schur,
-    kron,
-    dagger,
     partial_inner_product,
     partial_trace,
     hermitian_eig,
-    log_on_support,
 )
 from .ehmm import (
     EhmmModel,
     validate,
-    stochastic_projections,
-    hidden_isometry_matrix,
-    emission_isometry_matrix,
-    transition_expectation,
-    emission_expectation,
     build_psi_hon,
     build_psi_hn,
     build_psi_on,
@@ -52,20 +43,11 @@ __version__ = "0.1.0"
 __all__ = [
     "TensorVector",
     "HermitianSpectrum",
-    "schur",
-    "kron",
-    "dagger",
     "partial_inner_product",
     "partial_trace",
     "hermitian_eig",
-    "log_on_support",
     "EhmmModel",
     "validate",
-    "stochastic_projections",
-    "hidden_isometry_matrix",
-    "emission_isometry_matrix",
-    "transition_expectation",
-    "emission_expectation",
     "build_psi_hon",
     "build_psi_hn",
     "build_psi_on",

@@ -131,7 +131,7 @@ def build_e_vector(
     m, d = model.m, model.d
     if float(model.pi.min()) <= 0.0:
         raise ValueError("boundary vector needs strictly positive pi entries")
-    _check_cap(m ** (n + 1) * d ** (n - n_keep), size_cap)
+    _check_cap(size_cap, (m, n + 1), (d, n - n_keep))
 
     # tail over (i_{N+1}, ..., i_{n+1}, k_{N+1}, ..., k_n)
     n_tail = n - n_keep
@@ -181,7 +181,7 @@ def observed_mps(
     if float(model.pi.min()) <= 0.0:
         raise ValueError("boundary vector needs strictly positive pi entries")
     m, d = model.m, model.d
-    _check_cap(m * m * d**n_keep, size_cap)
+    _check_cap(size_cap, (m, 2), (d, n_keep))
     if n - n_keep > size_cap:
         raise ValueError(f"{n - n_keep} trailing sites exceed size cap {size_cap}")
 

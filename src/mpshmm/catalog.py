@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -20,15 +20,11 @@ from .mps import SiteTensorSet
 
 __all__ = [
     "CatalogEntry",
-    "EntryInfo",
     "NAMES",
     "get",
-    "list_entries",
     "ghz_normalized_tensors",
     "random_model",
 ]
-
-NAMES = ("ghz", "cluster", "aklt", "aklt-derived", "theta")
 
 _SQ2 = math.sqrt(2.0)
 _P0 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=np.complex128)
@@ -48,20 +44,11 @@ class CatalogEntry:
     notes: str = ""
 
 
-@dataclass(frozen=True)
-class EntryInfo:
-    name: str
-    requires: tuple[str, ...]
-    has_tensors: bool
-    has_model: bool
-    summary: str
-
-
 def _uniform_pi(m: int) -> np.ndarray:
     return np.full(m, 1.0 / m)
 
 
-def _ghz() -> CatalogEntry:
+def _ghz(name: str) -> CatalogEntry:
     tensors = SiteTensorSet(((_P0.copy(), _P1.copy()),), translation_invariant=True)
     model = EhmmModel(
         pi=_uniform_pi(2),
@@ -70,7 +57,7 @@ def _ghz() -> CatalogEntry:
         translation_invariant=True,
     )
     return CatalogEntry(
-        name="ghz",
+        name=name,
         tensors=tensors,
         model=model,
         notes=(
@@ -97,7 +84,7 @@ def ghz_normalized_tensors(n_sites: int) -> SiteTensorSet:
     return SiteTensorSet((first,) + (rest,) * (n_sites - 1))
 
 
-def _cluster() -> CatalogEntry:
+def _cluster(name: str) -> CatalogEntry:
     a0 = np.array([[1.0, 1.0], [0.0, 0.0]], dtype=np.complex128) / _SQ2
     a1 = np.array([[0.0, 0.0], [1.0, -1.0]], dtype=np.complex128) / _SQ2
     tensors = SiteTensorSet(((a0, a1),), translation_invariant=True)
@@ -108,7 +95,7 @@ def _cluster() -> CatalogEntry:
         translation_invariant=True,
     )
     return CatalogEntry(
-        name="cluster",
+        name=name,
         tensors=tensors,
         model=model,
         notes=(
@@ -119,13 +106,13 @@ def _cluster() -> CatalogEntry:
     )
 
 
-def _aklt() -> CatalogEntry:
+def _aklt(name: str) -> CatalogEntry:
     a_plus = math.sqrt(2.0 / 3.0) * _SPLUS
     a_zero = math.sqrt(1.0 / 3.0) * _SZ
     a_minus = -math.sqrt(2.0 / 3.0) * _SMINUS
     tensors = SiteTensorSet(((a_plus, a_zero, a_minus),), translation_invariant=True)
     return CatalogEntry(
-        name="aklt",
+        name=name,
         tensors=tensors,
         model=None,
         notes=(
@@ -136,7 +123,7 @@ def _aklt() -> CatalogEntry:
     )
 
 
-def _aklt_derived() -> CatalogEntry:
+def _aklt_derived(name: str) -> CatalogEntry:
     r13 = math.sqrt(1.0 / 3.0)
     r23 = math.sqrt(2.0 / 3.0)
     u = np.array([[r13, r23], [-r23, r13]], dtype=np.complex128)
@@ -153,7 +140,7 @@ def _aklt_derived() -> CatalogEntry:
         translation_invariant=True,
     )
     return CatalogEntry(
-        name="aklt-derived",
+        name=name,
         tensors=tensors,
         model=model,
         notes=(
@@ -165,7 +152,7 @@ def _aklt_derived() -> CatalogEntry:
     )
 
 
-def _theta(theta_values: tuple[float, ...]) -> CatalogEntry:
+def _theta(name: str, theta_values: tuple[float, ...]) -> CatalogEntry:
     sites_t = []
     sites_u = []
     sites_chi = []
@@ -188,7 +175,7 @@ def _theta(theta_values: tuple[float, ...]) -> CatalogEntry:
         translation_invariant=ti,
     )
     return CatalogEntry(
-        name="theta",
+        name=name,
         tensors=tensors,
         model=model,
         parameters={"theta": theta_values},
@@ -202,35 +189,32 @@ def _theta(theta_values: tuple[float, ...]) -> CatalogEntry:
     )
 
 
+# name -> (builder, one-line summary, required parameter or None); NAMES,
+# `get` and `mpshmm catalog list` all read this one table
+_TABLE: dict[str, tuple[Callable[..., CatalogEntry], str, str | None]] = {
+    "ghz": (_ghz, "perfectly correlated qubit pair states", None),
+    "cluster": (_cluster, "stabilizer ground state, Hadamard hidden dynamics", None),
+    "aklt": (_aklt, "spin-1 valence-bond tensors (no factorization)", None),
+    "aklt-derived": (_aklt_derived, "rebuilt from the AKLT classical HMM", None),
+    "theta": (_theta, "one-parameter diag/offdiag family", "theta"),
+}
+
+NAMES = tuple(_TABLE)
+
+
 def get(name: str, theta: float | Sequence[float] | None = None) -> CatalogEntry:
     """Fetch a catalog entry by name; the theta family needs its parameter."""
-    if name == "ghz":
-        return _ghz()
-    if name == "cluster":
-        return _cluster()
-    if name == "aklt":
-        return _aklt()
-    if name == "aklt-derived":
-        return _aklt_derived()
-    if name == "theta":
-        if theta is None:
-            raise ValueError("theta entry requires a theta parameter")
-        values = (float(theta),) if np.isscalar(theta) else tuple(float(x) for x in theta)
-        if not values:
-            raise ValueError("theta parameter list is empty")
-        return _theta(values)
-    raise KeyError(f"unknown catalog name {name!r}; known: {', '.join(NAMES)}")
-
-
-def list_entries() -> list[EntryInfo]:
-    infos = [
-        EntryInfo("ghz", (), True, True, "perfectly correlated qubit pair states"),
-        EntryInfo("cluster", (), True, True, "stabilizer ground state, Hadamard hidden dynamics"),
-        EntryInfo("aklt", (), True, False, "spin-1 valence-bond tensors (no factorization)"),
-        EntryInfo("aklt-derived", (), True, True, "rebuilt from the AKLT classical HMM"),
-        EntryInfo("theta", ("theta",), True, True, "one-parameter diag/offdiag family"),
-    ]
-    return infos
+    if name not in _TABLE:
+        raise KeyError(f"unknown catalog name {name!r}; known: {', '.join(NAMES)}")
+    builder, _, required = _TABLE[name]
+    if required is None:
+        return builder(name)
+    if theta is None:
+        raise ValueError(f"{name} entry requires a {required} parameter")
+    values = (float(theta),) if np.isscalar(theta) else tuple(float(x) for x in theta)
+    if not values:
+        raise ValueError(f"{required} parameter list is empty")
+    return builder(name, values)
 
 
 def random_model(m: int, d: int, sites: int, seed: int) -> EhmmModel:

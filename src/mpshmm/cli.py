@@ -107,13 +107,22 @@ def _resolve_tensors(args: argparse.Namespace) -> SiteTensorSet:
     raise ValueError("provide --tensors FILE or --name NAME")
 
 
-def _emit_state(v: TensorVector, args: argparse.Namespace, heading: str) -> None:
-    doc = serialize.state_to_dict(v)
+def _emit_doc(doc: dict, args: argparse.Namespace) -> bool:
+    """Write ``doc`` to ``--out`` if given and print it under ``--format json``.
+
+    Returns True when the document was printed, so no table should follow.
+    """
     if args.out:
         serialize.dump_json(doc, args.out)
         print(f"wrote {args.out}")
     if args.format == "json":
         print(serialize.dump_json(doc))
+        return True
+    return False
+
+
+def _emit_state(v: TensorVector, args: argparse.Namespace, heading: str) -> None:
+    if _emit_doc(serialize.state_to_dict(v), args):
         return
     print(heading)
     nonzero = int(np.count_nonzero(v.entries))
@@ -144,10 +153,13 @@ def _word_labels(idx: np.ndarray, dims: tuple[int, ...]) -> list[str]:
 
 def _cmd_catalog(args: argparse.Namespace) -> int:
     if args.action == "list":
-        for info in catalog.list_entries():
-            req = f" (requires {', '.join(info.requires)})" if info.requires else ""
-            parts = [x for x, flag in (("tensors", info.has_tensors), ("model", info.has_model)) if flag]
-            print(f"{info.name:<13} {'+'.join(parts):<14}{info.summary}{req}")
+        for name, (_, summary, required) in catalog._TABLE.items():
+            # any theta builds the family, and every value carries the same parts
+            entry = catalog.get(name, theta=0.0)
+            carried = {"tensors": entry.tensors, "model": entry.model}
+            parts = "+".join(k for k, v in carried.items() if v is not None)
+            req = f" (requires {required})" if required else ""
+            print(f"{name:<13} {parts:<14}{summary}{req}")
         return 0
     entry = _entry_from_name(args.entry, args.theta)
     out_dir = Path(args.dir)
@@ -205,12 +217,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_extract(args: argparse.Namespace) -> int:
     t = _resolve_tensors(args)
     extracted = extract_classical_hmm(t)
-    doc = serialize.extracted_to_dict(extracted)
-    if args.out:
-        serialize.dump_json(doc, args.out)
-        print(f"wrote {args.out}")
-    if args.format == "json":
-        print(serialize.dump_json(doc))
+    if _emit_doc(serialize.extracted_to_dict(extracted), args):
         return 0
     for idx, (p, q) in enumerate(zip(extracted.transitions, extracted.emissions), start=1):
         site = "every site" if extracted.translation_invariant else f"site {idx}"
@@ -222,12 +229,7 @@ def _cmd_extract(args: argparse.Namespace) -> int:
 def _cmd_decompose(args: argparse.Namespace) -> int:
     t = _resolve_tensors(args)
     result = decompose_tensors(t, args.tol)
-    doc = serialize.decomposition_to_dict(result)
-    if args.out:
-        serialize.dump_json(doc, args.out)
-        print(f"wrote {args.out}")
-    if args.format == "json":
-        print(serialize.dump_json(doc))
+    if _emit_doc(serialize.decomposition_to_dict(result), args):
         return 0 if result.feasible else 1
     if not result.feasible:
         w = result.witness
@@ -247,13 +249,7 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
 def _cmd_entropy(args: argparse.Namespace) -> int:
     model = _resolve_model(args)
     report = check_bound(model, args.N, eps=args.eps, size_cap=args.size_cap)
-    doc = serialize.bound_report_to_dict(report)
-    if args.out:
-        serialize.dump_json(doc, args.out)
-        print(f"wrote {args.out}")
-    if args.format == "json":
-        print(serialize.dump_json(doc))
-    else:
+    if not _emit_doc(serialize.bound_report_to_dict(report), args):
         rows = [
             ("S(rho_N || rho_O,N)", _fmt(report.s_value)),
             ("lower bound (RHS)", _fmt(report.rhs_value)),
@@ -280,9 +276,12 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
 
 def _int_list(raw: str) -> list[int]:
     try:
-        return [int(x) for x in raw.split(",") if x]
+        values = [int(x) for x in raw.split(",") if x]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad integer list {raw!r}") from exc
+    if not values:
+        raise argparse.ArgumentTypeError(f"empty integer list {raw!r}")
+    return values
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -296,10 +295,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     size_cap = _size_cap_default()
 
-    def add_common(p: argparse.ArgumentParser, out: bool = True) -> None:
+    def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--format", choices=("table", "json"), default="table")
-        if out:
-            p.add_argument("--out", help="write structured JSON to this path")
+        p.add_argument("--out", help="write structured JSON to this path")
 
     def add_name(p: argparse.ArgumentParser) -> None:
         p.add_argument("--name", help="catalog entry name")

@@ -35,11 +35,6 @@ __all__ = [
     "validate",
     "require_valid",
     "is_unitary",
-    "stochastic_projections",
-    "hidden_isometry_matrix",
-    "emission_isometry_matrix",
-    "transition_expectation",
-    "emission_expectation",
     "build_psi_hon",
     "build_psi_hn",
     "build_psi_on",
@@ -197,63 +192,22 @@ def is_unitary(u: np.ndarray, tol: float = ATOL) -> bool:
     return float(np.linalg.norm(u.conj().T @ u - np.eye(u.shape[0]))) <= tol
 
 
-def stochastic_projections(
-    model: EhmmModel,
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Per-site classical matrices: transitions |U|^2 and emissions |chi|^2."""
-    require_valid(model)
-    pis = [np.abs(u) ** 2 for u in model.hidden]
-    qs = [np.abs(c) ** 2 for c in model.emission]
-    return pis, qs
+def _check_cap(
+    size_cap: int, *powers: tuple[int, int], what: str = "state"
+) -> None:
+    """Refuse a dense array of prod(base**exp) entries above ``size_cap``.
 
-
-def hidden_isometry_matrix(u: np.ndarray) -> np.ndarray:
-    """Explicit (m^2 x m) matrix of e_i |-> sum_j U[i,j] e_i (x) e_j."""
-    u = as_matrix(u)
-    m = u.shape[0]
-    if u.shape != (m, m):
-        raise ValueError(f"hidden amplitude matrix must be square, got {u.shape}")
-    v = np.zeros((m * m, m), dtype=np.complex128)
-    for i in range(m):
-        v[i * m : (i + 1) * m, i] = u[i]
-    return v
-
-
-def emission_isometry_matrix(chi: np.ndarray) -> np.ndarray:
-    """Explicit (m*d x m) matrix of e_i |-> sum_k chi[i,k] e_i (x) |k>."""
-    chi = as_matrix(chi)
-    m, d = chi.shape
-    v = np.zeros((m * d, m), dtype=np.complex128)
-    for i in range(m):
-        v[i * d : (i + 1) * d, i] = chi[i]
-    return v
-
-
-def transition_expectation(u: np.ndarray, x: np.ndarray, x2: np.ndarray) -> np.ndarray:
-    """One hidden Markov step: V_H^dag (x (x) x2) V_H, as a Schur formula.
-
-    Entry (i,j) is x[i,j] * sum_{k,l} conj(U[i,k]) U[j,l] x2[k,l]; identity
-    inputs map to the identity for any row-normalized U.
+    Each base is at least 2^(bit_length - 1).  When that lower bound already
+    exceeds 2^64 times the cap, the count is refused, named by its powers,
+    without building its integer; otherwise it is computed exactly, so the
+    boundary is exact.
     """
-    u, x, x2 = as_matrix(u), as_matrix(x), as_matrix(x2)
-    m = u.shape[0]
-    if x.shape != (m, m) or x2.shape != (m, m):
-        raise ValueError(f"observables must be {m}x{m}, got {x.shape} and {x2.shape}")
-    return x * (u.conj() @ x2 @ u.T)
-
-
-def emission_expectation(chi: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Hidden/observation coupling step: V_O^dag (x (x) y) V_O."""
-    chi, x, y = as_matrix(chi), as_matrix(x), as_matrix(y)
-    m, d = chi.shape
-    if x.shape != (m, m) or y.shape != (d, d):
-        raise ValueError(f"expected {m}x{m} and {d}x{d}, got {x.shape} and {y.shape}")
-    return x * (chi.conj() @ y @ chi.T)
-
-
-def _check_cap(entries: int, size_cap: int) -> None:
+    if sum(e * (b.bit_length() - 1) for b, e in powers) > int(size_cap).bit_length() + 64:
+        shape = " * ".join(f"{b}^{e}" for b, e in powers)
+        raise ValueError(f"{what} of {shape} entries exceeds size cap {size_cap}")
+    entries = math.prod(b**e for b, e in powers)
     if entries > size_cap:
-        raise ValueError(f"state of {entries} entries exceeds size cap {size_cap}")
+        raise ValueError(f"{what} of {entries} entries exceeds size cap {size_cap}")
 
 
 def _chain_step(
@@ -288,7 +242,7 @@ def build_psi_hon(
     if n < 1:
         raise ValueError("n must be >= 1")
     m, d = model.m, model.d
-    _check_cap(m ** (n + 1) * d**n, size_cap)
+    _check_cap(size_cap, (m, n + 1), (d, n))
     x = np.sqrt(model.pi.astype(np.complex128)).reshape(1, m, 1)
     for l in range(1, n + 1):
         x = _chain_step(x, model.hidden_at(l), model.emission_at(l))
@@ -303,7 +257,7 @@ def build_psi_hn(
     if n < 1:
         raise ValueError("n must be >= 1")
     m = model.m
-    _check_cap(m ** (n + 1), size_cap)
+    _check_cap(size_cap, (m, n + 1))
     x = np.sqrt(model.pi.astype(np.complex128)).reshape(1, m, 1)
     no_emission = np.ones((m, 1))
     for l in range(1, n + 1):
@@ -330,7 +284,7 @@ def build_psi_on(
     if n < 1:
         raise ValueError("n must be >= 1")
     m, d = model.m, model.d
-    _check_cap(d**n, size_cap)
+    _check_cap(size_cap, (d, n))
     x = model.pi.astype(np.complex128).reshape(1, m, 1)
     for l in range(1, n + 1):
         # the last site has no transition; summing i_n is a column of ones

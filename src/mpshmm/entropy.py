@@ -40,7 +40,6 @@ from .mps import SiteTensorSet, _site_stacks, _word_sums, build_state
 BOUND_SLACK = 1e-8
 HERMITIAN_TOL = 1e-10
 EIGEN_FLOOR = -1e-10
-PAIR_CAP = 2**13
 
 __all__ = [
     "BOUND_SLACK",
@@ -92,7 +91,11 @@ class DensityMatrix:
 def mps_density(
     t: SiteTensorSet, n_sites: int, size_cap: int = DEFAULT_SIZE_CAP
 ) -> DensityMatrix:
-    """The literal (1/m) |psi_N><psi_N|; trace equals |psi|^2 / m, recorded as is."""
+    """The literal (1/m) |psi_N><psi_N|; trace equals |psi|^2 / m, recorded as is.
+
+    The size cap counts the d^(2N) entries of the matrix, not only the state.
+    """
+    _check_cap(size_cap, (t.d, 2 * n_sites))
     psi = build_state(t, n_sites, size_cap)
     mat = np.outer(psi.entries, psi.entries.conj()) / t.m
     return DensityMatrix(mat, psi.factor_dims)
@@ -102,7 +105,7 @@ def observation_density_formula(
     t: SiteTensorSet,
     pi: np.ndarray,
     n_sites: int,
-    pair_cap: int = PAIR_CAP,
+    size_cap: int = DEFAULT_SIZE_CAP,
 ) -> DensityMatrix:
     """Observation density via the Schur-product transfer formula.
 
@@ -116,11 +119,8 @@ def observation_density_formula(
         raise ValueError(f"pi has length {pi.size}, expected {t.m}")
     if n_sites < 1:
         raise ValueError("n_sites must be >= 1")
+    _check_cap(size_cap, (t.d, 2 * n_sites))
     n_words = t.d**n_sites
-    if n_words * n_words > pair_cap:
-        raise ValueError(
-            f"{n_words}^2 word pairs exceed cap {pair_cap}; reduce sites or raise cap"
-        )
     if not t.compatible_length(n_sites):
         raise ValueError(f"{n_sites} sites exceed {len(t.sites)} stored sites")
 
@@ -147,13 +147,9 @@ def _hidden_chain_density(model: EhmmModel, n_sites: int, size_cap: int) -> np.n
     unzipped to (word, word') at the end.
     """
     m, d = model.m, model.d
+    _check_cap(size_cap, (d, 2 * n_sites))
+    _check_cap(size_cap, (m, 1), (d, 2 * n_sites), what="observation-density recursion")
     n_words = d**n_sites
-    _check_cap(n_words * n_words, size_cap)
-    if m * n_words * n_words > size_cap:
-        raise ValueError(
-            f"observation-density recursion of {m * n_words * n_words} entries "
-            f"exceeds size cap {size_cap}"
-        )
     x = model.pi.astype(np.complex128).reshape(1, m, 1)
     for l in range(1, n_sites + 1):
         chi = model.emission_at(l)

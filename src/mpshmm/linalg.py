@@ -16,30 +16,18 @@ from typing import Iterable, Sequence
 import numpy as np
 
 ATOL = 1e-10
-RTOL = 1e-10
 SUPPORT_EPS = 1e-12
 
 __all__ = [
     "ATOL",
-    "RTOL",
     "SUPPORT_EPS",
     "TensorVector",
     "HermitianSpectrum",
-    "close",
     "as_matrix",
-    "schur",
-    "kron",
-    "dagger",
     "partial_inner_product",
     "partial_trace",
     "hermitian_eig",
-    "log_on_support",
 ]
-
-
-def close(x: complex, y: complex, atol: float = ATOL, rtol: float = RTOL) -> bool:
-    """Absolute-plus-relative comparison: |x-y| <= atol + rtol*max(|x|,|y|)."""
-    return abs(x - y) <= atol + rtol * max(abs(x), abs(y))
 
 
 def as_matrix(a: np.ndarray | Sequence) -> np.ndarray:
@@ -111,29 +99,6 @@ class HermitianSpectrum:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    def reconstruct(self) -> np.ndarray:
-        v = self.eigenvectors
-        return (v * self.eigenvalues) @ v.conj().T
-
-
-def schur(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Entrywise (Schur) product of two equally shaped matrices."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch {a.shape} vs {b.shape}")
-    return a * b
-
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product, lexicographic index order (left factor major)."""
-    return np.kron(as_matrix(a), as_matrix(b))
-
-
-def dagger(a: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return as_matrix(a).conj().T
-
 
 def partial_inner_product(
     w: TensorVector, u0: TensorVector, prefix_count: int
@@ -191,20 +156,3 @@ def hermitian_eig(a: np.ndarray, tol: float = ATOL) -> HermitianSpectrum:
         raise ValueError("matrix is not Hermitian within tolerance")
     vals, vecs = np.linalg.eigh(a)
     return HermitianSpectrum(vals[::-1].copy(), vecs[:, ::-1].copy())
-
-
-def log_on_support(a: np.ndarray, eps: float = SUPPORT_EPS) -> np.ndarray:
-    """Matrix logarithm restricted to the support of a Hermitian PSD matrix.
-
-    Eigenvalues in (-eps, eps] are treated as exact zeros and excluded from
-    the logarithm; an eigenvalue below -eps means the input is not positive
-    semidefinite and is rejected.
-    """
-    spec = hermitian_eig(a)
-    if spec.eigenvalues.min(initial=0.0) < -eps:
-        raise ValueError(
-            f"matrix has eigenvalue {spec.eigenvalues.min()} < -eps, not PSD"
-        )
-    logs = np.where(spec.eigenvalues > eps, np.log(np.maximum(spec.eigenvalues, eps)), 0.0)
-    v = spec.eigenvectors
-    return (v * logs) @ v.conj().T

@@ -213,7 +213,7 @@ def build_state(
         raise ValueError("n_sites must be >= 1")
     if not t.compatible_length(n_sites):
         raise ValueError(f"{n_sites} sites exceed {len(t.sites)} stored sites")
-    _check_cap(t.d**n_sites, size_cap)
+    _check_cap(size_cap, (t.d, n_sites))
     eye = np.eye(t.m, dtype=np.complex128)
     return TensorVector((t.d,) * n_sites, _word_sums(_site_stacks(t, n_sites), eye, eye))
 

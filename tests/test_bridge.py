@@ -15,7 +15,7 @@ from mpshmm.bridge import (
     observed_mps,
     tensors_from_ehmm,
 )
-from mpshmm.ehmm import EhmmModel, build_psi_hon, stochastic_projections
+from mpshmm.ehmm import EhmmModel, build_psi_hon
 from mpshmm.linalg import TensorVector, partial_inner_product
 from mpshmm.mps import SiteTensorSet, build_state, gauge_check
 from test_ehmm import CHAIN_CASES
@@ -385,12 +385,11 @@ def test_extract_requires_gauge():
 def test_extract_matches_model_projections():
     for seed in (46, 47):
         model = catalog.random_model(2, 3, 3, seed)
-        pis, qs = stochastic_projections(model)
         ex = extract_classical_hmm(tensors_from_ehmm(model))
-        for a, b in zip(pis, ex.transitions):
-            assert np.max(np.abs(a - b)) <= 1e-12
-        for a, b in zip(qs, ex.emissions):
-            assert np.max(np.abs(a - b)) <= 1e-12
+        for u, p in zip(model.hidden, ex.transitions):
+            assert np.max(np.abs(np.abs(u) ** 2 - p)) <= 1e-12
+        for chi, q in zip(model.emission, ex.emissions):
+            assert np.max(np.abs(np.abs(chi) ** 2 - q)) <= 1e-12
 
 
 def test_extract_rows_stochastic_whenever_gauge_holds():

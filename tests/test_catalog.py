@@ -66,16 +66,10 @@ def test_unknown_name():
 
 
 def test_listing_and_gauge_of_all_entries():
-    infos = catalog.list_entries()
-    names = [i.name for i in infos]
-    assert names == list(catalog.NAMES)
-    assert "cluster" in names
-    theta_info = next(i for i in infos if i.name == "theta")
-    assert "theta" in theta_info.requires
-    for info in infos:
-        entry = (
-            catalog.get(info.name, theta=0.8) if info.requires else catalog.get(info.name)
-        )
+    assert catalog.NAMES == ("ghz", "cluster", "aklt", "aklt-derived", "theta")
+    for name in catalog.NAMES:
+        entry = catalog.get(name, theta=0.8) if name == "theta" else catalog.get(name)
+        assert entry.name == name
         assert gauge_check(entry.tensors).max_deviation <= 1e-12
 
 

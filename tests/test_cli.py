@@ -205,3 +205,33 @@ def test_state_table_of_zero_state_lists_no_words(capsys):
     assert capsys.readouterr().out.splitlines()[1:] == [
         "factors: [2, 2]  norm: 0  nonzero coefficients: 0/4"
     ]
+
+
+@pytest.mark.parametrize("raw", [",", ""])
+def test_empty_n_list_is_usage_error(capsys, raw):
+    with pytest.raises(SystemExit) as info:
+        main(["verify", "theorem1", "--name", "ghz", "--N", "3", "--n", raw])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert errors == [f"mpshmm verify: error: argument --n: empty integer list {raw!r}"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["build-mps", "--name", "ghz", "--sites", "20000"],
+        ["build-mps", "--name", "ghz", "--sites", "100000000"],
+        ["build-ehmm-state", "--name", "ghz", "--n", "100000000"],
+        ["entropy", "--name", "ghz", "--N", "100000000"],
+        ["verify", "theorem1", "--name", "ghz", "--N", "100000000", "--n", "100000000"],
+    ],
+    ids=["build-mps-20000", "build-mps", "build-ehmm-state", "entropy", "verify"],
+)
+def test_huge_size_is_one_line_size_cap_error(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: state of ") and captured.err.count("\n") == 1
+    assert "entries exceeds size cap" in captured.err

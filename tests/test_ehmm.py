@@ -5,27 +5,23 @@ import numpy as np
 import pytest
 
 from mpshmm import catalog
+from mpshmm.bridge import observed_mps
 from mpshmm.ehmm import (
     PI_SUM_TOL,
     ROW_NORM_TOL,
     EhmmModel,
     Violation,
+    _check_cap,
     build_psi_hn,
     build_psi_hon,
     build_psi_on,
-    emission_expectation,
-    emission_isometry_matrix,
-    hidden_isometry_matrix,
     observation_from_joint,
-    stochastic_projections,
-    transition_expectation,
     validate,
 )
-from mpshmm.linalg import kron
+from mpshmm.entropy import check_bound
+from mpshmm.linalg import TensorVector, as_matrix
+from mpshmm.mps import build_state
 
-SZ = np.array([[1, 0], [0, -1]], dtype=complex)
-SX = np.array([[0, 1], [1, 0]], dtype=complex)
-HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 # sign variant whose rows realize e_i -> (e_i x e_i + (-1)^i e_i x e_{1-i})/sqrt(2)
 HADAMARD_VARIANT = np.array([[1, 1], [-1, 1]], dtype=complex) / np.sqrt(2)
 
@@ -97,38 +93,73 @@ def test_translation_invariant_model_with_several_sites_reported():
     assert validate(model) == []
 
 
-# ---- stochastic projections ----
+# ---- isometry matrices: the paper's V_H and V_O, as test-only oracles ----
 
 
-def test_theta_projections():
-    model = catalog.get("theta", theta=math.pi / 3).model
-    pis, qs = stochastic_projections(model)
-    assert np.allclose(pis[0], [[0.25, 0.75], [0.0, 1.0]], atol=1e-15)
-    assert np.allclose(qs[0], [[0.25, 0.75], [1.0, 0.0]], atol=1e-15)
+def hidden_isometry_matrix(u: np.ndarray) -> np.ndarray:
+    """Explicit (m^2 x m) matrix of e_i |-> sum_j U[i,j] e_i (x) e_j."""
+    u = as_matrix(u)
+    m = u.shape[0]
+    if u.shape != (m, m):
+        raise ValueError(f"hidden amplitude matrix must be square, got {u.shape}")
+    v = np.zeros((m * m, m), dtype=np.complex128)
+    for i in range(m):
+        v[i * m : (i + 1) * m, i] = u[i]
+    return v
 
 
-def test_ghz_projections_are_identities():
-    pis, qs = stochastic_projections(catalog.get("ghz").model)
-    assert np.array_equal(pis[0], np.eye(2))
-    assert np.array_equal(qs[0], np.eye(2))
+def emission_isometry_matrix(chi: np.ndarray) -> np.ndarray:
+    """Explicit (m*d x m) matrix of e_i |-> sum_k chi[i,k] e_i (x) |k>."""
+    chi = as_matrix(chi)
+    m, d = chi.shape
+    v = np.zeros((m * d, m), dtype=np.complex128)
+    for i in range(m):
+        v[i * d : (i + 1) * d, i] = chi[i]
+    return v
 
 
-def test_cluster_projections():
-    pis, qs = stochastic_projections(catalog.get("cluster").model)
-    assert np.allclose(pis[0], np.full((2, 2), 0.5), atol=1e-15)
-    assert np.allclose(qs[0], np.eye(2), atol=1e-15)
+def isometry_chain_state(model: EhmmModel, n: int) -> TensorVector:
+    """The joint state by its definition: the isometry chain on sum_i sqrt(pi_i) e_i.
+
+    Site l applies V_O then V_H to the current hidden factor i_l, leaving the
+    factors in the order k_1 i_1 k_2 i_2 .. k_n i_n i_{n+1}; they are permuted
+    to hidden-then-observation order at the end.
+    """
+    m, d = model.m, model.d
+    x = np.sqrt(model.pi).astype(complex)
+    for l in range(1, n + 1):
+        x = x.reshape(-1, m) @ emission_isometry_matrix(model.emission_at(l)).T
+        x = x.reshape(-1, m, d).transpose(0, 2, 1)  # bring i_l last again
+        x = x.reshape(-1, m) @ hidden_isometry_matrix(model.hidden_at(l)).T
+    chain = TensorVector((d, m) * n + (m,), x.reshape(-1))
+    hidden_first = [*range(1, 2 * n + 1, 2), 2 * n, *range(0, 2 * n, 2)]
+    return chain.permute_factors(hidden_first)
 
 
-def test_projections_are_row_stochastic_for_random_models():
-    for seed in range(5):
-        model = catalog.random_model(3, 2, 2, seed)
-        pis, qs = stochastic_projections(model)
-        for mat in pis + qs:
-            assert np.all(mat >= 0)
-            assert np.allclose(mat.sum(axis=1), 1.0, atol=1e-10)
+ISOMETRY_CHAIN_MODELS = [
+    ("ghz", catalog.get("ghz").model),
+    ("cluster", catalog.get("cluster").model),
+    ("aklt-derived", catalog.get("aklt-derived").model),
+    ("theta", catalog.get("theta", theta=math.pi / 3).model),
+    ("theta-sites", catalog.get("theta", theta=(0.3, 0.9, 1.4)).model),
+] + [
+    (f"random-m{m}-d{d}", catalog.random_model(m, d, 3, 10 * m + d))
+    for m in (2, 3)
+    for d in (2, 3)
+]
 
 
-# ---- isometry matrices ----
+@pytest.mark.parametrize(
+    "model",
+    [model for _, model in ISOMETRY_CHAIN_MODELS],
+    ids=[name for name, _ in ISOMETRY_CHAIN_MODELS],
+)
+def test_joint_state_equals_isometry_chain(model):
+    for n in (1, 2, 3):
+        chain = isometry_chain_state(model, n)
+        psi = build_psi_hon(model, n)
+        assert chain.factor_dims == psi.factor_dims
+        assert np.max(np.abs(chain.entries - psi.entries)) <= 1e-12
 
 
 def test_hidden_isometry_identity_is_copier():
@@ -180,64 +211,6 @@ def test_emission_isometry_random_rows():
     chi = catalog.random_model(2, 3, 1, 12).emission[0]
     v = emission_isometry_matrix(chi)
     assert np.linalg.norm(v.conj().T @ v - np.eye(2)) <= 1e-10
-
-
-# ---- transition / emission expectations ----
-
-
-def test_transition_expectation_identity_u_is_schur():
-    rng = np.random.default_rng(13)
-    x = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    x2 = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    assert np.allclose(transition_expectation(np.eye(2), x, x2), x * x2)
-
-
-def test_transition_expectation_preserves_identity():
-    for u in (HADAMARD, catalog.get("theta", theta=0.7).model.hidden[0]):
-        out = transition_expectation(u, np.eye(2), np.eye(2))
-        assert np.allclose(out, np.eye(2), atol=1e-12)
-
-
-def test_transition_expectation_matches_dense_conjugation():
-    v = hidden_isometry_matrix(HADAMARD)
-    dense = v.conj().T @ kron(SZ, SX) @ v
-    assert np.allclose(transition_expectation(HADAMARD, SZ, SX), dense, atol=1e-12)
-    rng = np.random.default_rng(14)
-    u = catalog.random_model(3, 2, 1, 15).hidden[0]
-    x = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    x2 = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    v = hidden_isometry_matrix(u)
-    dense = v.conj().T @ kron(x, x2) @ v
-    assert np.allclose(transition_expectation(u, x, x2), dense, atol=1e-12)
-
-
-def test_emission_expectation_identity_chi_is_schur():
-    rng = np.random.default_rng(16)
-    x = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    y = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    assert np.allclose(emission_expectation(np.eye(2), x, y), x * y)
-
-
-def test_emission_expectation_identity_preserving():
-    chi = catalog.get("aklt-derived").model.emission[0]
-    assert np.allclose(emission_expectation(chi, np.eye(2), np.eye(3)), np.eye(2), atol=1e-12)
-
-
-def test_emission_expectation_matches_dense_conjugation():
-    rng = np.random.default_rng(17)
-    chi = catalog.random_model(2, 3, 1, 18).emission[0]
-    x = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    y = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    v = emission_isometry_matrix(chi)
-    dense = v.conj().T @ kron(x, y) @ v
-    assert np.allclose(emission_expectation(chi, x, y), dense, atol=1e-12)
-
-
-def test_expectation_shape_errors():
-    with pytest.raises(ValueError):
-        transition_expectation(np.eye(2), np.eye(3), np.eye(2))
-    with pytest.raises(ValueError):
-        emission_expectation(np.eye(2), np.eye(2), np.eye(3))
 
 
 # ---- joint state ----
@@ -342,6 +315,36 @@ def test_size_cap_enforced():
     model = catalog.get("ghz").model
     with pytest.raises(ValueError, match="size cap"):
         build_psi_hon(model, 4, size_cap=100)
+
+
+HUGE_N_ROUTES = {
+    "build_state": lambda n: build_state(catalog.get("ghz").tensors, n),
+    "build_psi_hon": lambda n: build_psi_hon(catalog.get("ghz").model, n),
+    "observed_mps": lambda n: observed_mps(catalog.get("ghz").model, n, n),
+    "check_bound": lambda n: check_bound(catalog.get("ghz").model, n),
+}
+
+
+@pytest.mark.parametrize("n", [20_000, 10**8])
+@pytest.mark.parametrize("route", sorted(HUGE_N_ROUTES))
+def test_size_cap_refuses_huge_n_without_its_entry_count(route, n):
+    with pytest.raises(ValueError, match=f"2\\^{n} entries exceeds size cap"):
+        HUGE_N_ROUTES[route](n)
+
+
+@pytest.mark.parametrize("powers", [((2, 70),), ((3, 45),), ((2, 3), (3, 40)), ((2, 10),)])
+def test_size_cap_is_exact_at_the_boundary(powers):
+    entries = math.prod(b**e for b, e in powers)
+    _check_cap(entries, *powers)
+    message = f"^state of {entries} entries exceeds size cap {entries - 1}$"
+    with pytest.raises(ValueError, match=message):
+        _check_cap(entries - 1, *powers)
+
+
+def test_size_cap_message_is_unchanged_for_ordinary_sizes():
+    assert build_state(catalog.get("ghz").tensors, 10, size_cap=1024).dim == 1024
+    with pytest.raises(ValueError, match="^state of 1024 entries exceeds size cap 1023$"):
+        build_state(catalog.get("ghz").tensors, 10, size_cap=1023)
 
 
 def test_site_dependent_model_length_guard():

@@ -419,6 +419,37 @@ def test_small_size_cap_refuses_observation_density():
         observation_density_trace(model, 3, size_cap=500)
 
 
+def test_formula_route_past_the_former_pair_cap_equals_trace_route():
+    # d=2, N=7: 2^14 word pairs, within the default size cap
+    model = catalog.random_model(2, 2, 7, 75)
+    t = tensors_from_ehmm(model, require_unitary=False)
+    formula = observation_density_formula(t, model.pi, 7)
+    traced = observation_density_trace(model, 7)
+    assert np.max(np.abs(formula.matrix - traced.matrix)) <= 1e-12
+
+
+def test_density_builders_share_one_size_cap():
+    # GHZ, m=2, d=2 under cap 600: N=4 gives 256 matrix entries (512 in the
+    # recursion), N=5 gives 1024
+    entry = catalog.get("ghz")
+    routes = (
+        lambda n: observation_density_formula(entry.tensors, entry.model.pi, n, size_cap=600),
+        lambda n: observation_density_trace(entry.model, n, size_cap=600),
+        lambda n: mps_density(entry.tensors, n, size_cap=600),
+    )
+    for route in routes:
+        assert route(4).dim == 16
+        with pytest.raises(ValueError, match="^state of 1024 entries exceeds size cap 600$"):
+            route(5)
+
+
+@pytest.mark.parametrize("n", [12, 22])
+def test_mps_density_cap_counts_the_matrix(n):
+    # d=2: the state has 2^N entries, within the default cap; the matrix 2^(2N)
+    with pytest.raises(ValueError, match="exceeds size cap"):
+        mps_density(catalog.get("ghz").tensors, n)
+
+
 def test_check_bound_zero_state_raises():
     # a hidden swap returns to its start only after an even number of sites,
     # so every periodic trace at N=1 vanishes

@@ -18,16 +18,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ehmm import (
-    DEFAULT_SIZE_CAP,
-    EhmmModel,
-    _chain_step,
-    _check_cap,
-    is_unitary,
-    require_valid,
-)
-from .linalg import ATOL, TensorVector
-from .mps import GAUGE_TOL, SiteTensorSet, require_gauge
+from .ehmm import DEFAULT_SIZE_CAP, EhmmModel, _chain_step, _check_cap, is_unitary
+from .linalg import TensorVector
+from .mps import SiteTensorSet, require_gauge
 
 DECOMPOSE_TOL = 1e-8
 
@@ -88,11 +81,7 @@ class DecompositionResult:
         )
 
 
-def tensors_from_ehmm(
-    model: EhmmModel,
-    require_unitary: bool = True,
-    unitary_tol: float = ATOL,
-) -> SiteTensorSet:
+def tensors_from_ehmm(model: EhmmModel, require_unitary: bool = True) -> SiteTensorSet:
     """Site tensors a[k][i,j] = U[i,j] * chi[i,k] of a model.
 
     With unitary hidden matrices the result satisfies the gauge condition;
@@ -100,16 +89,25 @@ def tensors_from_ehmm(
     row-normalized (the partial-measurement identity still holds, the gauge
     condition need not).
     """
-    require_valid(model)
     if require_unitary:
         for idx, u in enumerate(model.hidden, start=1):
-            if not is_unitary(u, unitary_tol):
+            if not is_unitary(u):
                 raise ValueError(f"hidden matrix at site {idx} is not unitary")
     sites = []
     for u, chi in zip(model.hidden, model.emission):
         fam = tuple(chi[:, k, None] * u for k in range(model.d))
         sites.append(fam)
     return SiteTensorSet(tuple(sites), model.translation_invariant)
+
+
+def _check_boundary_args(model: EhmmModel, n_keep: int, n: int) -> None:
+    """The arguments both boundary routes need: 1 <= N <= n and pi > 0."""
+    if n_keep < 1:
+        raise ValueError("number of kept sites must be >= 1")
+    if n < n_keep:
+        raise ValueError(f"n = {n} must be >= kept sites {n_keep}")
+    if float(model.pi.min()) <= 0.0:
+        raise ValueError("boundary vector needs strictly positive pi entries")
 
 
 def build_e_vector(
@@ -123,14 +121,8 @@ def build_e_vector(
     The middle hidden indices i_2..i_N are unconstrained.  For n = N the
     product is empty and only the weight and the delta remain.
     """
-    require_valid(model)
-    if n_keep < 1:
-        raise ValueError("number of kept sites must be >= 1")
-    if n < n_keep:
-        raise ValueError(f"n = {n} must be >= kept sites {n_keep}")
+    _check_boundary_args(model, n_keep, n)
     m, d = model.m, model.d
-    if float(model.pi.min()) <= 0.0:
-        raise ValueError("boundary vector needs strictly positive pi entries")
     _check_cap(size_cap, (m, n + 1), (d, n - n_keep))
 
     # tail over (i_{N+1}, ..., i_{n+1}, k_{N+1}, ..., k_n)
@@ -173,13 +165,7 @@ def observed_mps(
     largest array formed, with m^2 d^N entries, and the n-N trailing sites
     folded one Python step each, so the work stays bounded for any n.
     """
-    require_valid(model)
-    if n_keep < 1:
-        raise ValueError("number of kept sites must be >= 1")
-    if n < n_keep:
-        raise ValueError(f"n = {n} must be >= kept sites {n_keep}")
-    if float(model.pi.min()) <= 0.0:
-        raise ValueError("boundary vector needs strictly positive pi entries")
+    _check_boundary_args(model, n_keep, n)
     m, d = model.m, model.d
     _check_cap(size_cap, (m, 2), (d, n_keep))
     if n - n_keep > size_cap:
@@ -202,13 +188,13 @@ def observed_mps(
     return TensorVector((d,) * n_keep, weight @ diag)
 
 
-def extract_classical_hmm(t: SiteTensorSet, gauge_tol: float = GAUGE_TOL) -> ExtractedHmm:
+def extract_classical_hmm(t: SiteTensorSet) -> ExtractedHmm:
     """Classical HMM of a gauge-satisfying tensor set.
 
     Transition (i,j) sums |a[k][i,j]|^2 over symbols; emission (i,k) sums it
     over the column index.  The gauge condition makes both row-stochastic.
     """
-    require_gauge(t, gauge_tol)
+    require_gauge(t)
     transitions = []
     emissions = []
     for fam in t.sites:
@@ -218,18 +204,14 @@ def extract_classical_hmm(t: SiteTensorSet, gauge_tol: float = GAUGE_TOL) -> Ext
     return ExtractedHmm(tuple(transitions), tuple(emissions), t.translation_invariant)
 
 
-def isometries_from_mps(
-    t: SiteTensorSet,
-    pi: np.ndarray | None = None,
-    gauge_tol: float = GAUGE_TOL,
-) -> EhmmModel:
+def isometries_from_mps(t: SiteTensorSet, pi: np.ndarray | None = None) -> EhmmModel:
     """Model whose amplitudes are the nonnegative roots of the extracted HMM.
 
     Any complex square root would do; the nonnegative branch is canonical and
     reproducible.  The hidden matrices need not come out unitary.  The source
     fixes no initial distribution, so `pi` defaults to uniform.
     """
-    extracted = extract_classical_hmm(t, gauge_tol)
+    extracted = extract_classical_hmm(t)
     if pi is None:
         pi = np.full(t.m, 1.0 / t.m)
     return EhmmModel(

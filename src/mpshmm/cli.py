@@ -197,8 +197,6 @@ def _cmd_build_ehmm_state(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    if args.what != "theorem1":
-        raise ValueError(f"unknown verification target {args.what!r}")
     model = _resolve_model(args)
     if not all(is_unitary(u) for u in model.hidden):
         print("note: hidden matrices are not unitary; gauge condition not implied")

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import ATOL, TensorVector, as_matrix, partial_inner_product
+from .linalg import ATOL, TensorVector, _read_only_copy, as_matrix, partial_inner_product
 
 DEFAULT_SIZE_CAP = 2**22
 ROW_NORM_TOL = 1e-10
@@ -48,7 +48,9 @@ class EhmmModel:
 
     ``hidden[l]`` and ``emission[l]`` describe site l+1 (sites are 1-based in
     formulas).  A translation-invariant model stores a single pair and serves
-    it for every site; `validate` reports one that stores more.
+    it for every site.  Construction copies the arrays, makes the copies
+    read-only and raises `ValueError` unless the model is valid, so every
+    model that exists is valid.
     """
 
     pi: np.ndarray
@@ -57,14 +59,15 @@ class EhmmModel:
     translation_invariant: bool = False
 
     def __post_init__(self) -> None:
-        pi = np.asarray(self.pi, dtype=np.float64).reshape(-1)
-        hidden = tuple(as_matrix(u) for u in self.hidden)
-        emission = tuple(as_matrix(c) for c in self.emission)
+        pi = _read_only_copy(self.pi, np.float64).reshape(-1)
+        hidden = tuple(as_matrix(_read_only_copy(u)) for u in self.hidden)
+        emission = tuple(as_matrix(_read_only_copy(c)) for c in self.emission)
         if not hidden or not emission:
             raise ValueError("model needs at least one site pair")
         object.__setattr__(self, "pi", pi)
         object.__setattr__(self, "hidden", hidden)
         object.__setattr__(self, "emission", emission)
+        require_valid(pi, hidden, emission, self.translation_invariant)
 
     @property
     def m(self) -> int:
@@ -73,11 +76,6 @@ class EhmmModel:
     @property
     def d(self) -> int:
         return self.emission[0].shape[1]
-
-    @property
-    def n_sites(self) -> int | None:
-        """Number of stored sites, or None when translation-invariant."""
-        return None if self.translation_invariant else len(self.hidden)
 
     def hidden_at(self, site: int) -> np.ndarray:
         """Hidden amplitude matrix U at 1-based site index."""
@@ -133,11 +131,18 @@ def _row_violations(
     return out
 
 
-def validate(model: EhmmModel) -> list[Violation]:
-    """Check every model invariant; an empty report means valid."""
+def validate(
+    pi: np.ndarray,
+    hidden: tuple[np.ndarray, ...],
+    emission: tuple[np.ndarray, ...],
+    translation_invariant: bool = False,
+) -> list[Violation]:
+    """Check every model invariant of the `EhmmModel` arguments; empty means valid."""
     out: list[Violation] = []
-    m, d = model.m, model.d
-    pi = model.pi
+    pi = np.asarray(pi, dtype=np.float64).reshape(-1)
+    hidden = tuple(as_matrix(u) for u in hidden)
+    emission = tuple(as_matrix(c) for c in emission)
+    m, d = hidden[0].shape[0], emission[0].shape[1]
 
     if pi.size != m:
         out.append(Violation("pi", f"length {pi.size} != hidden dim {m}", abs(pi.size - m)))
@@ -153,16 +158,16 @@ def validate(model: EhmmModel) -> list[Violation]:
         if abs(s - 1.0) > PI_SUM_TOL:
             out.append(Violation("pi", f"pi sum = {s}", abs(s - 1.0)))
 
-    if len(model.hidden) != len(model.emission):
+    if len(hidden) != len(emission):
         out.append(
             Violation(
                 "sites",
-                f"{len(model.hidden)} hidden vs {len(model.emission)} emission matrices",
-                abs(len(model.hidden) - len(model.emission)),
+                f"{len(hidden)} hidden vs {len(emission)} emission matrices",
+                abs(len(hidden) - len(emission)),
             )
         )
-    stored = max(len(model.hidden), len(model.emission))
-    if model.translation_invariant and stored > 1:
+    stored = max(len(hidden), len(emission))
+    if translation_invariant and stored > 1:
         out.append(
             Violation(
                 "sites",
@@ -170,13 +175,19 @@ def validate(model: EhmmModel) -> list[Violation]:
                 stored - 1,
             )
         )
-    out += _row_violations("hidden", model.hidden, (m, m))
-    out += _row_violations("emission", model.emission, (m, d))
+    out += _row_violations("hidden", hidden, (m, m))
+    out += _row_violations("emission", emission, (m, d))
     return out
 
 
-def require_valid(model: EhmmModel) -> None:
-    report = validate(model)
+def require_valid(
+    pi: np.ndarray,
+    hidden: tuple[np.ndarray, ...],
+    emission: tuple[np.ndarray, ...],
+    translation_invariant: bool = False,
+) -> None:
+    """Raise `ValueError` naming the first violation of `validate`, if any."""
+    report = validate(pi, hidden, emission, translation_invariant)
     if report:
         first = report[0]
         raise ValueError(
@@ -185,11 +196,11 @@ def require_valid(model: EhmmModel) -> None:
         )
 
 
-def is_unitary(u: np.ndarray, tol: float = ATOL) -> bool:
+def is_unitary(u: np.ndarray) -> bool:
     u = as_matrix(u)
     if u.shape[0] != u.shape[1]:
         return False
-    return float(np.linalg.norm(u.conj().T @ u - np.eye(u.shape[0]))) <= tol
+    return float(np.linalg.norm(u.conj().T @ u - np.eye(u.shape[0]))) <= ATOL
 
 
 def _check_cap(
@@ -238,7 +249,6 @@ def build_psi_hon(
 
     Factors: n+1 hidden (dimension m) followed by n observation (dimension d).
     """
-    require_valid(model)
     if n < 1:
         raise ValueError("n must be >= 1")
     m, d = model.m, model.d
@@ -253,7 +263,6 @@ def build_psi_hn(
     model: EhmmModel, n: int, size_cap: int = DEFAULT_SIZE_CAP
 ) -> TensorVector:
     """Hidden Markov chain state on n+1 hidden factors; a unit vector."""
-    require_valid(model)
     if n < 1:
         raise ValueError("n must be >= 1")
     m = model.m
@@ -280,7 +289,6 @@ def build_psi_on(
     This is the site numbering the partial-inner-product route
     (`observation_from_joint`) gives, also for site-dependent models.
     """
-    require_valid(model)
     if n < 1:
         raise ValueError("n must be >= 1")
     m, d = model.m, model.d

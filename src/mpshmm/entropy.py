@@ -26,14 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bridge import tensors_from_ehmm
-from .ehmm import (
-    DEFAULT_SIZE_CAP,
-    EhmmModel,
-    _chain_step,
-    _check_cap,
-    is_unitary,
-    require_valid,
-)
+from .ehmm import DEFAULT_SIZE_CAP, EhmmModel, _chain_step, _check_cap, is_unitary
 from .linalg import SUPPORT_EPS, as_matrix, hermitian_eig
 from .mps import SiteTensorSet, _site_stacks, _word_sums, build_state
 
@@ -170,7 +163,6 @@ def observation_density_trace(
 
     Computed by the hidden-chain recursion; the joint state is never formed.
     """
-    require_valid(model)
     return DensityMatrix(
         _hidden_chain_density(model, n_sites, size_cap), (model.d,) * n_sites
     )
@@ -345,14 +337,14 @@ def check_bound(
 
     The observation density sigma comes from the trace route (the
     hidden-chain recursion, which never forms the joint state) and is
-    eigendecomposed once; the model is validated once, by
-    `tensors_from_ehmm`.  The MPS density (1/m)|psi><psi| has rank one, so
-    S against sigma is t ln t - t <v|log sigma|v> with t = |psi|^2 / m and
-    v = psi / |psi|.  Both densities dephased are diagonal, so their S is
-    the classical divergence between |psi|^2 / m and diag(sigma).  Support
-    cuts at ``eps`` match `relative_entropy`, which stays the literal
-    oracle.  The RHS word terms are evaluated once and weighted for both
-    the literal and the unit-trace bound.
+    eigendecomposed once; the model was validated when it was built.  The
+    MPS density (1/m)|psi><psi| has rank one, so S against sigma is
+    t ln t - t <v|log sigma|v> with t = |psi|^2 / m and v = psi / |psi|.
+    Both densities dephased are diagonal, so their S is the classical
+    divergence between |psi|^2 / m and diag(sigma).  Support cuts at ``eps``
+    match `relative_entropy`, which stays the literal oracle.  The RHS word
+    terms are evaluated once and weighted for both the literal and the
+    unit-trace bound.
     """
     t = tensors_from_ehmm(model, require_unitary=False)
     hidden_unitary = all(is_unitary(u) for u in model.hidden)

@@ -40,6 +40,13 @@ def as_matrix(a: np.ndarray | Sequence) -> np.ndarray:
     return m
 
 
+def _read_only_copy(a: np.ndarray | Sequence, dtype: type = np.complex128) -> np.ndarray:
+    """A fresh array of ``a`` that cannot be written to."""
+    out = np.array(a, dtype=dtype)
+    out.flags.writeable = False
+    return out
+
+
 @dataclass(frozen=True)
 class TensorVector:
     """Dense complex vector over a tensor-product basis.
@@ -148,11 +155,11 @@ def partial_trace(
     return t.reshape(kept_dim, kept_dim)
 
 
-def hermitian_eig(a: np.ndarray, tol: float = ATOL) -> HermitianSpectrum:
+def hermitian_eig(a: np.ndarray) -> HermitianSpectrum:
     """Eigendecomposition of a Hermitian matrix, eigenvalues descending."""
     a = as_matrix(a)
     scale = max(1.0, float(np.linalg.norm(a)))
-    if np.linalg.norm(a - a.conj().T) > tol * scale:
+    if np.linalg.norm(a - a.conj().T) > ATOL * scale:
         raise ValueError("matrix is not Hermitian within tolerance")
     vals, vecs = np.linalg.eigh(a)
     return HermitianSpectrum(vals[::-1].copy(), vecs[:, ::-1].copy())

@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .ehmm import DEFAULT_SIZE_CAP, _check_cap
-from .linalg import TensorVector, as_matrix
+from .linalg import TensorVector, _read_only_copy, as_matrix
 
 GAUGE_TOL = 1e-12
 
@@ -42,14 +42,17 @@ class SiteTensorSet:
     """Per-site families of m x m matrices indexed by physical symbol.
 
     ``sites[l][k]`` is A_k at site l+1.  A translation-invariant set stores a
-    single family and serves it for every site.
+    single family and serves it for every site.  Construction copies the
+    matrices and makes the copies read-only.
     """
 
     sites: tuple[tuple[np.ndarray, ...], ...] = field(repr=False)
     translation_invariant: bool = False
 
     def __post_init__(self) -> None:
-        sites = tuple(tuple(as_matrix(a) for a in fam) for fam in self.sites)
+        sites = tuple(
+            tuple(as_matrix(_read_only_copy(a)) for a in fam) for fam in self.sites
+        )
         if not sites or not sites[0]:
             raise ValueError("tensor set needs at least one site with one symbol")
         if self.translation_invariant and len(sites) > 1:
@@ -114,23 +117,23 @@ class GaugeReport:
         return max(self.deviations)
 
 
-def gauge_check(t: SiteTensorSet, tol: float = GAUGE_TOL) -> GaugeReport:
+def gauge_check(t: SiteTensorSet) -> GaugeReport:
     """Measure the gauge condition sum_k A_k A_k^dag = I at every stored site."""
     eye = np.eye(t.m)
     devs = []
     for fam in t.sites:
         acc = sum(a @ a.conj().T for a in fam)
         devs.append(float(np.linalg.norm(acc - eye)))
-    return GaugeReport(tuple(devs), tol)
+    return GaugeReport(tuple(devs), GAUGE_TOL)
 
 
-def require_gauge(t: SiteTensorSet, tol: float = GAUGE_TOL) -> None:
-    report = gauge_check(t, tol)
+def require_gauge(t: SiteTensorSet) -> None:
+    report = gauge_check(t)
     if not report.ok:
         worst = max(range(len(report.deviations)), key=report.deviations.__getitem__)
         raise ValueError(
             f"gauge condition fails at site {worst + 1}: "
-            f"deviation {report.deviations[worst]:.3e} > {tol:.1e}"
+            f"deviation {report.deviations[worst]:.3e} > {GAUGE_TOL:.1e}"
         )
 
 

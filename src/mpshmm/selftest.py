@@ -346,19 +346,16 @@ def criterion_functions(
     ]
 
 
-def run_all(
-    fixture_path: str | Path | None = None,
-    echo: Callable[[str], None] = print,
-) -> list[CriterionResult]:
+def run_all(fixture_path: str | Path | None = None) -> list[CriterionResult]:
     results = []
     for fn in criterion_functions(fixture_path):
         result = fn()
         results.append(result)
         status = "PASS" if result.passed else "FAIL"
-        echo(f"{status} criterion {result.index}: {result.name} -- {result.detail}")
+        print(f"{status} criterion {result.index}: {result.name} -- {result.detail}")
     total = sum(r.elapsed for r in results)
     all_ok = all(r.passed for r in results)
-    echo(
+    print(
         f"{'PASS' if all_ok and total < 300 else 'FAIL'} criterion 9: "
         f"full suite in {total:.1f}s (< 300s required)"
     )

@@ -98,7 +98,7 @@ def test_ghz_normalized_variant():
 def test_random_model_valid_and_deterministic():
     a = catalog.random_model(2, 3, 3, seed=1)
     b = catalog.random_model(2, 3, 3, seed=1)
-    assert validate(a) == []
+    assert validate(a.pi, a.hidden, a.emission) == []
     assert np.array_equal(a.pi, b.pi)
     for x, y in zip(a.hidden + a.emission, b.hidden + b.emission):
         assert np.array_equal(x, y)
@@ -113,6 +113,6 @@ def test_random_model_tensors_pass_gauge():
 
 def test_random_model_edge_dimensions():
     tiny = catalog.random_model(1, 1, 1, seed=3)
-    assert validate(tiny) == []
+    assert validate(tiny.pi, tiny.hidden, tiny.emission) == []
     wide = catalog.random_model(1, 4, 2, seed=4)
-    assert validate(wide) == []
+    assert validate(wide.pi, wide.hidden, wide.emission) == []

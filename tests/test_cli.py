@@ -7,7 +7,6 @@ import pytest
 
 from mpshmm import catalog, serialize
 from mpshmm.cli import _emit_state, _fmt_complex, main
-from mpshmm.ehmm import EhmmModel
 from mpshmm.linalg import TensorVector
 
 
@@ -168,12 +167,10 @@ def test_unknown_catalog_name_message_is_unquoted(capsys):
 
 
 def test_translation_invariant_model_with_two_sites_is_usage_error(tmp_path, capsys):
-    model = catalog.random_model(2, 2, 2, 27)
-    shared = EhmmModel(
-        pi=model.pi, hidden=model.hidden, emission=model.emission, translation_invariant=True
-    )
+    doc = serialize.model_to_dict(catalog.random_model(2, 2, 2, 27))
+    doc["translation_invariant"] = True
     path = tmp_path / "model.json"
-    serialize.dump_json(serialize.model_to_dict(shared), path)
+    serialize.dump_json(doc, path)
     assert main(["verify", "theorem1", "--model", str(path), "--N", "1", "--n", "1"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
@@ -235,3 +232,27 @@ def test_huge_size_is_one_line_size_cap_error(capsys, argv):
     assert captured.out == ""
     assert captured.err.startswith("error: state of ") and captured.err.count("\n") == 1
     assert "entries exceeds size cap" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "theorem1", "--N", "2", "--n", "2"],
+        ["entropy", "--N", "2"],
+        ["build-mps", "--sites", "2"],
+        ["build-ehmm-state", "--n", "2"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_invalid_model_file_is_refused_before_any_output(tmp_path, capsys, argv):
+    doc = serialize.model_to_dict(catalog.get("ghz").model)
+    doc["hidden"][0][0] = [[0.6, 0.0], [0.0, 0.0]]
+    path = tmp_path / "bad.json"
+    serialize.dump_json(doc, path)
+    assert main([*argv, "--model", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "error: invalid model (1 violation(s)); first: "
+        "hidden[1] row 0: squared-modulus row sum = 0.36\n"
+    )

@@ -4,8 +4,15 @@ import string
 import numpy as np
 import pytest
 
-from mpshmm import catalog
-from mpshmm.bridge import observed_mps
+import mpshmm
+from mpshmm import catalog, serialize
+from mpshmm.bridge import (
+    build_e_vector,
+    decompose_tensors,
+    isometries_from_mps,
+    observed_mps,
+    tensors_from_ehmm,
+)
 from mpshmm.ehmm import (
     PI_SUM_TOL,
     ROW_NORM_TOL,
@@ -18,9 +25,9 @@ from mpshmm.ehmm import (
     observation_from_joint,
     validate,
 )
-from mpshmm.entropy import check_bound
+from mpshmm.entropy import check_bound, observation_density_trace
 from mpshmm.linalg import TensorVector, as_matrix
-from mpshmm.mps import build_state
+from mpshmm.mps import SiteTensorSet, build_state
 
 # sign variant whose rows realize e_i -> (e_i x e_i + (-1)^i e_i x e_{1-i})/sqrt(2)
 HADAMARD_VARIANT = np.array([[1, 1], [-1, 1]], dtype=complex) / np.sqrt(2)
@@ -38,59 +45,167 @@ def trivial_model():
 # ---- validation ----
 
 
+def model_args(model):
+    """A model's constructor arguments, as `validate` takes them."""
+    return model.pi, model.hidden, model.emission, model.translation_invariant
+
+
 def test_ghz_model_is_valid():
-    assert validate(catalog.get("ghz").model) == []
+    assert validate(*model_args(catalog.get("ghz").model)) == []
 
 
 def test_pi_sum_violation_reported():
-    model = EhmmModel(
-        pi=np.array([0.6, 0.6]),
-        hidden=(np.eye(2, dtype=complex),),
-        emission=(np.eye(2, dtype=complex),),
-        translation_invariant=True,
+    report = validate(
+        np.array([0.6, 0.6]), (np.eye(2, dtype=complex),), (np.eye(2, dtype=complex),), True
     )
-    report = validate(model)
     assert any("pi sum = 1.2" in v.message for v in report)
 
 
 @pytest.mark.parametrize("bad", [[math.nan, math.nan], [math.inf, -math.inf], [0.5, math.nan]])
 def test_non_finite_pi_reported(bad):
-    model = EhmmModel(
-        pi=np.array(bad),
-        hidden=(np.eye(2, dtype=complex),),
-        emission=(np.eye(2, dtype=complex),),
-        translation_invariant=True,
-    )
-    report = validate(model)
+    args = (np.array(bad), (np.eye(2, dtype=complex),), (np.eye(2, dtype=complex),), True)
+    report = validate(*args)
     assert [v.location for v in report] == ["pi"]
     assert report[0].message.startswith("non-finite entry")
     with pytest.raises(ValueError, match="non-finite entry"):
-        build_psi_hon(model, 1)
+        EhmmModel(*args)
 
 
 def test_bad_emission_row_names_index():
     chi = np.array([[1.0, 0.0], [0.5, 0.5]], dtype=complex)  # row 1 not normalized
-    model = EhmmModel(
-        pi=np.array([0.5, 0.5]),
-        hidden=(np.eye(2, dtype=complex),),
-        emission=(chi,),
-        translation_invariant=True,
-    )
-    report = validate(model)
+    report = validate(np.array([0.5, 0.5]), (np.eye(2, dtype=complex),), (chi,), True)
     assert any("emission[1] row 1" == v.location for v in report)
 
 
 def test_translation_invariant_model_with_several_sites_reported():
     model = catalog.random_model(2, 2, 2, 26)
-    shared = EhmmModel(
-        pi=model.pi, hidden=model.hidden, emission=model.emission, translation_invariant=True
-    )
-    report = validate(shared)
+    report = validate(model.pi, model.hidden, model.emission, True)
     assert [v.location for v in report] == ["sites"]
     assert "translation-invariant model stores 2 site pairs" in report[0].message
     with pytest.raises(ValueError, match="translation-invariant model stores 2"):
-        build_psi_hon(shared, 2)
-    assert validate(model) == []
+        EhmmModel(model.pi, model.hidden, model.emission, translation_invariant=True)
+    assert validate(*model_args(model)) == []
+
+
+EYE2 = np.eye(2, dtype=complex)
+HALF = np.array([0.5, 0.5])
+
+# one set of arguments per kind of violation, and the first violation named
+INVALID_ARGS = [
+    (
+        "pi-length",
+        (np.array([0.5, 0.25, 0.25]), (EYE2,), (EYE2,), True),
+        "pi: length 3 != hidden dim 2",
+    ),
+    (
+        "pi-non-finite",
+        (np.array([0.5, math.nan]), (EYE2,), (EYE2,), True),
+        "pi: non-finite entry nan",
+    ),
+    ("pi-negative", (np.array([1.5, -0.5]), (EYE2,), (EYE2,), True), "pi: negative entry -0.5"),
+    ("pi-sum", (np.array([0.6, 0.6]), (EYE2,), (EYE2,), True), "pi: pi sum = 1.2"),
+    ("site-count", (HALF, (EYE2, EYE2), (EYE2,)), "sites: 2 hidden vs 1 emission matrices"),
+    (
+        "shared-several-sites",
+        (HALF, (EYE2, EYE2), (EYE2, EYE2), True),
+        "sites: translation-invariant model stores 2 site pairs, expected 1",
+    ),
+    (
+        "shape",
+        (HALF, (EYE2, np.eye(3, dtype=complex)), (EYE2, EYE2)),
+        "hidden[2]: shape (3, 3) != (2, 2)",
+    ),
+    (
+        "row",
+        (HALF, (EYE2,), (np.array([[1.0, 0.0], [0.5, 0.5]], dtype=complex),), True),
+        "emission[1] row 1: squared-modulus row sum = 0.5",
+    ),
+]
+
+
+@pytest.mark.parametrize("name, args, first", INVALID_ARGS, ids=[c[0] for c in INVALID_ARGS])
+def test_invalid_model_raises_at_construction(name, args, first):
+    count = len(validate(*args))
+    with pytest.raises(ValueError) as info:
+        EhmmModel(*args)
+    assert str(info.value) == f"invalid model ({count} violation(s)); first: {first}"
+
+
+def test_invalid_model_raises_when_loaded_or_recovered():
+    ghz = catalog.get("ghz")
+    doc = serialize.model_to_dict(ghz.model)
+    doc["hidden"][0][0] = [[0.6, 0.0], [0.0, 0.0]]
+    with pytest.raises(ValueError) as info:
+        serialize.model_from_dict(doc)
+    assert str(info.value) == (
+        "invalid model (1 violation(s)); first: hidden[1] row 0: squared-modulus row sum = 0.36"
+    )
+    bad_pi = np.array([0.6, 0.6])
+    message = "invalid model (1 violation(s)); first: pi: pi sum = 1.2"
+    with pytest.raises(ValueError) as info:
+        isometries_from_mps(ghz.tensors, pi=bad_pi)
+    assert str(info.value) == message
+    result = decompose_tensors(catalog.get("cluster").tensors)
+    assert result.feasible
+    with pytest.raises(ValueError) as info:
+        result.model(pi=bad_pi)
+    assert str(info.value) == message
+
+
+def _stored_arrays(value):
+    if isinstance(value, EhmmModel):
+        return [value.pi, *value.hidden, *value.emission]
+    return [a for fam in value.sites for a in fam]
+
+
+@pytest.mark.parametrize("kind", ["model", "tensors"])
+def test_stored_arrays_are_read_only_copies(kind):
+    src = catalog.random_model(2, 3, 2, 40)
+    if kind == "model":
+        pi = src.pi.copy()
+        hidden = tuple(u.copy() for u in src.hidden)
+        emission = tuple(c.copy() for c in src.emission)
+        originals = [pi, *hidden, *emission]
+        value = EhmmModel(pi, hidden, emission)
+    else:
+        sites = tuple(
+            tuple(a.copy() for a in fam)
+            for fam in tensors_from_ehmm(src, require_unitary=False).sites
+        )
+        originals = [a for fam in sites for a in fam]
+        value = SiteTensorSet(sites)
+    stored = _stored_arrays(value)
+    before = [a.copy() for a in stored]
+    for a in stored:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            a[(0,) * a.ndim] = 0.0
+    for a in originals:
+        a[...] = 0.0
+    for a, b in zip(_stored_arrays(value), before):
+        assert np.array_equal(a, b)
+
+
+def test_no_builder_validates_again(monkeypatch):
+    models = [catalog.random_model(2, 2, 4, 41), catalog.get("ghz").model]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("model validated again")
+
+    for mod in vars(mpshmm).values():
+        if getattr(mod, "__name__", "").startswith("mpshmm."):
+            for name in ("require_valid", "validate"):
+                if hasattr(mod, name):
+                    monkeypatch.setattr(mod, name, refuse)
+    for model in models:
+        build_psi_hon(model, 3)
+        build_psi_hn(model, 3)
+        build_psi_on(model, 3)
+        build_e_vector(model, 2, 3)
+        observed_mps(model, 2, 4)
+        tensors_from_ehmm(model, require_unitary=False)
+        observation_density_trace(model, 2)
+        check_bound(model, 2)
 
 
 # ---- isometry matrices: the paper's V_H and V_O, as test-only oracles ----
@@ -454,11 +569,13 @@ def test_chain_builders_past_einsum_letter_limit():
 # ---- vectorized validation against the per-row loop ----
 
 
-def loop_validate(model):
+def loop_validate(pi, hidden, emission, translation_invariant=False):
     """The per-row reference: every matrix and row checked in a Python loop."""
     out = []
-    m, d = model.m, model.d
-    pi = model.pi
+    pi = np.asarray(pi, dtype=np.float64).reshape(-1)
+    hidden = tuple(as_matrix(u) for u in hidden)
+    emission = tuple(as_matrix(c) for c in emission)
+    m, d = hidden[0].shape[0], emission[0].shape[1]
     if pi.size != m:
         out.append(Violation("pi", f"length {pi.size} != hidden dim {m}", abs(pi.size - m)))
     finite = np.isfinite(pi)
@@ -472,16 +589,16 @@ def loop_validate(model):
         s = float(pi.sum())
         if abs(s - 1.0) > PI_SUM_TOL:
             out.append(Violation("pi", f"pi sum = {s}", abs(s - 1.0)))
-    if len(model.hidden) != len(model.emission):
+    if len(hidden) != len(emission):
         out.append(
             Violation(
                 "sites",
-                f"{len(model.hidden)} hidden vs {len(model.emission)} emission matrices",
-                abs(len(model.hidden) - len(model.emission)),
+                f"{len(hidden)} hidden vs {len(emission)} emission matrices",
+                abs(len(hidden) - len(emission)),
             )
         )
-    stored = max(len(model.hidden), len(model.emission))
-    if model.translation_invariant and stored > 1:
+    stored = max(len(hidden), len(emission))
+    if translation_invariant and stored > 1:
         out.append(
             Violation(
                 "sites",
@@ -489,7 +606,7 @@ def loop_validate(model):
                 stored - 1,
             )
         )
-    for idx, u in enumerate(model.hidden, start=1):
+    for idx, u in enumerate(hidden, start=1):
         if u.shape != (m, m):
             out.append(Violation(f"hidden[{idx}]", f"shape {u.shape} != ({m}, {m})", 0.0))
             continue
@@ -503,7 +620,7 @@ def loop_validate(model):
                         abs(rsum - 1.0),
                     )
                 )
-    for idx, c in enumerate(model.emission, start=1):
+    for idx, c in enumerate(emission, start=1):
         if c.shape != (m, d):
             out.append(Violation(f"emission[{idx}]", f"shape {c.shape} != ({m}, {d})", 0.0))
             continue
@@ -535,33 +652,19 @@ def _malformed_models():
     wide_h[0][4] *= 1 + 1e-9
     wide_h[1][8] *= 1 + 1e-11  # within tolerance
     return [
-        ("valid", rnd),
-        ("rows", EhmmModel(pi=rnd.pi, hidden=tuple(scaled), emission=rnd.emission)),
-        ("shape", EhmmModel(pi=rnd.pi, hidden=tuple(shaped), emission=rnd.emission)),
-        (
-            "shapes-and-rows",
-            EhmmModel(pi=rnd.pi, hidden=tuple(scaled[:3]), emission=tuple(bad_chi)),
-        ),
-        (
-            "nan-pi",
-            EhmmModel(pi=np.array([0.5, np.nan, 0.5]), hidden=tuple(scaled), emission=rnd.emission),
-        ),
-        (
-            "pi-length-shared",
-            EhmmModel(
-                pi=np.array([0.7, 0.6]),
-                hidden=tuple(shaped),
-                emission=tuple(bad_chi),
-                translation_invariant=True,
-            ),
-        ),
-        ("wide", EhmmModel(pi=wide.pi, hidden=tuple(wide_h), emission=wide.emission)),
+        ("valid", (rnd.pi, rnd.hidden, rnd.emission)),
+        ("rows", (rnd.pi, tuple(scaled), rnd.emission)),
+        ("shape", (rnd.pi, tuple(shaped), rnd.emission)),
+        ("shapes-and-rows", (rnd.pi, tuple(scaled[:3]), tuple(bad_chi))),
+        ("nan-pi", (np.array([0.5, np.nan, 0.5]), tuple(scaled), rnd.emission)),
+        ("pi-length-shared", (np.array([0.7, 0.6]), tuple(shaped), tuple(bad_chi), True)),
+        ("wide", (wide.pi, tuple(wide_h), wide.emission)),
     ]
 
 
 MALFORMED_MODELS = _malformed_models()
 
 
-@pytest.mark.parametrize("name, model", MALFORMED_MODELS, ids=[c[0] for c in MALFORMED_MODELS])
-def test_validate_equals_per_row_loop(name, model):
-    assert validate(model) == loop_validate(model)
+@pytest.mark.parametrize("name, args", MALFORMED_MODELS, ids=[c[0] for c in MALFORMED_MODELS])
+def test_validate_equals_per_row_loop(name, args):
+    assert validate(*args) == loop_validate(*args)

@@ -2,10 +2,12 @@
 
 Subcommands: ``catalog list|export``, ``build-mps``, ``build-ehmm-state``,
 ``verify theorem1``, ``extract``, ``decompose``, ``entropy``, ``selftest``.
-Exit codes: 0 success / bound holds, 1 verification failure, 2 usage or I/O
-error.  Human tables round to 12 significant digits; ``--format json`` emits
-full-precision structured output.  The default dense-state size cap comes
-from the MPSHMM_SIZE_CAP environment variable when set.
+Exit codes: 0 success / bound holds, 1 verification failure (a failed bound,
+round trip or factorization, or a `VerificationError` such as a failed gauge
+condition), 2 usage or I/O error.  Human tables round to 12 significant
+digits; ``--format json`` emits full-precision structured output.  The
+default dense-state size cap comes from the MPSHMM_SIZE_CAP environment
+variable when set.
 """
 
 from __future__ import annotations
@@ -37,8 +39,8 @@ from .ehmm import (
     is_unitary,
 )
 from .entropy import check_bound
-from .linalg import SUPPORT_EPS, TensorVector
-from .mps import SiteTensorSet, build_state, state_norm
+from .linalg import TensorVector
+from .mps import SiteTensorSet, VerificationError, build_state, state_norm
 
 __all__ = ["main"]
 
@@ -246,7 +248,7 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
 
 def _cmd_entropy(args: argparse.Namespace) -> int:
     model = _resolve_model(args)
-    report = check_bound(model, args.N, eps=args.eps, size_cap=args.size_cap)
+    report = check_bound(model, args.N, size_cap=args.size_cap)
     if not _emit_doc(serialize.bound_report_to_dict(report), args):
         rows = [
             ("S(rho_N || rho_O,N)", _fmt(report.s_value)),
@@ -355,7 +357,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ent.add_argument("--model")
     add_name(p_ent)
     p_ent.add_argument("--N", type=int, required=True)
-    p_ent.add_argument("--eps", type=float, default=SUPPORT_EPS)
     p_ent.add_argument("--size-cap", type=int, default=size_cap)
     add_common(p_ent)
     p_ent.set_defaults(func=_cmd_entropy)
@@ -375,7 +376,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         # str() of a KeyError is the repr of its argument, quotes included
         message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
         print(f"error: {message}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, VerificationError) else 2
 
 
 if __name__ == "__main__":

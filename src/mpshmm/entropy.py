@@ -16,6 +16,13 @@ diagonal transfer weights, which is exactly the closed-form right-hand side
 evaluated here.  Because the MPS density has rank one, its relative entropy
 needs only the observation density's spectrum, and the dephased pair needs
 no eigendecomposition at all.  Natural logarithms throughout.
+
+Every divergence, literal oracle included, goes through one support rule
+(`_divergence`) whose cuts are relative to scale: an eigenvalue is zero at
+or below max * dim * finfo.eps, a word weight at or below max * finfo.eps.
+Nothing about it is settable.  Because the rule is scale-invariant, a
+divergence of the literal density follows from the unit-trace one by
+S(t rho || sigma) = t S(rho || sigma) + t ln t.
 """
 
 from __future__ import annotations
@@ -27,12 +34,14 @@ import numpy as np
 
 from .bridge import tensors_from_ehmm
 from .ehmm import DEFAULT_SIZE_CAP, EhmmModel, _chain_step, _check_cap, is_unitary
-from .linalg import SUPPORT_EPS, as_matrix, hermitian_eig
+from .linalg import as_matrix, hermitian_eig
 from .mps import SiteTensorSet, _site_stacks, _word_sums, build_state
 
 BOUND_SLACK = 1e-8
 HERMITIAN_TOL = 1e-10
 EIGEN_FLOOR = -1e-10
+# input validation, not a support cut: eigenvalues below -_PSD_TOL reject the input
+_PSD_TOL = 1e-12
 
 __all__ = [
     "BOUND_SLACK",
@@ -173,14 +182,47 @@ def diagonal_channel(rho: DensityMatrix) -> DensityMatrix:
     return DensityMatrix(np.diag(np.diag(rho.matrix)), rho.factor_dims)
 
 
-def relative_entropy(
-    rho: DensityMatrix, sigma: DensityMatrix, eps: float = SUPPORT_EPS
-) -> float:
+def _divergence(a: np.ndarray, b: np.ndarray, overlap: np.ndarray | None = None) -> float:
+    """sum a ln a - sum a W ln b over a's support; +inf if that support leaks onto b's zeros.
+
+    ``overlap`` is W[i, j] = |<a_i|b_j>|^2 for two spectra from `eigh`, or
+    None for two diagonals compared word by word (W the identity).  What
+    counts as zero is relative to scale: a spectrum value at or below
+    max * dim * finfo.eps (numerical rank, as numpy's `matrix_rank`), a
+    directly summed word weight at or below max * finfo.eps.  A row of a's
+    support leaks when its mass on b's zero set exceeds dim * finfo.eps.
+    Both cuts are scale-invariant, so S(t rho || sigma) = t S(rho || sigma)
+    + t ln t holds for the computed values too.
+    """
+    tiny = np.finfo(np.float64).eps
+    dim = 1 if overlap is None else b.size
+    keep = a > a.max() * dim * tiny
+    b_zero = b <= b.max() * dim * tiny
+    if overlap is None:
+        if np.any(keep & b_zero):
+            return math.inf
+        terms = np.divide(a, b, out=np.ones_like(a), where=keep)
+        np.log(terms, out=terms)
+        return float(a @ terms)
+    w = overlap[keep]
+    if np.any(w[:, b_zero].sum(axis=1) > b.size * tiny):
+        return math.inf
+    a_kept = a[keep]
+    term_a = float(a_kept @ np.log(a_kept))
+    return term_a - float(a_kept @ w[:, ~b_zero] @ np.log(b[~b_zero]))
+
+
+def _unscaled(value: float, t: float) -> float:
+    """S(t rho || sigma) from S(rho || sigma) for a unit-trace rho: t S + t ln t."""
+    return t * value + t * math.log(t)
+
+
+def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """Tr(rho log rho) - Tr(rho log sigma) on supports; +inf if supports split.
 
-    Eigenvalues at or below eps count as zero.  An eigenvector of rho with
-    eigenvalue above eps overlapping the null space of sigma by more than eps
-    makes the divergence infinite.
+    The literal oracle: both spectra come from `eigh`, and `_divergence`
+    decides which eigenvalues count as zero (at or below max * dim *
+    finfo.eps) and when an eigenvector of rho leaks onto sigma's null space.
     """
     r = rho.matrix if isinstance(rho, DensityMatrix) else as_matrix(rho)
     s = sigma.matrix if isinstance(sigma, DensityMatrix) else as_matrix(sigma)
@@ -188,90 +230,58 @@ def relative_entropy(
         raise ValueError(f"shape mismatch {r.shape} vs {s.shape}")
     spec_r = hermitian_eig(r)
     spec_s = hermitian_eig(s)
-    if spec_r.eigenvalues.min() < -eps or spec_s.eigenvalues.min() < -eps:
+    if spec_r.eigenvalues.min() < -_PSD_TOL or spec_s.eigenvalues.min() < -_PSD_TOL:
         raise ValueError("inputs must be positive semidefinite within eps")
-
-    lam = spec_r.eigenvalues
-    mu = spec_s.eigenvalues
     overlap = np.abs(spec_r.eigenvectors.conj().T @ spec_s.eigenvectors) ** 2
-    r_support = lam > eps
-    s_null = mu <= eps
-    if np.any(s_null):
-        null_mass = overlap[:, s_null].sum(axis=1)
-        if np.any(null_mass[r_support] > eps):
-            return math.inf
-
-    term_r = float(np.sum(lam[r_support] * np.log(lam[r_support])))
-    s_support = ~s_null
-    log_mu = np.log(mu[s_support])
-    term_s = float(lam[r_support] @ overlap[np.ix_(r_support, s_support)] @ log_mu)
-    return term_r - term_s
+    return _divergence(spec_r.eigenvalues, spec_s.eigenvalues, overlap)
 
 
-def _rhs_terms(
+def _word_weights(
     t: SiteTensorSet, pi: np.ndarray, n_sites: int, psi: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-word numerators |Tr prod A|^2 and denominators m^{3/2} pi^T (prod A o conj A) e.
+    """The dephased pair word by word: p = |Tr prod A|^2 / m and q = pi^T (prod A o conj A) 1.
 
     ``psi`` holds the trace coefficients Tr prod A (the `build_state`
-    entries); the denominators come from one boundary-vector contraction
-    over the real family |A_k|^2.
+    entries), so p is the diagonal of (1/m)|psi><psi| and sums to its trace.
+    q is the diagonal of the observation density by the Schur formula, from
+    one boundary-vector contraction over the real family |A_k|^2.
     """
-    num = np.abs(psi)
-    num **= 2
-    m = t.m
+    p = np.abs(psi)
+    p **= 2
+    p /= t.m
     stacks = _site_stacks(t, n_sites, lambda s: s.real**2 + s.imag**2)
-    e_vec = np.ones((m, 1)) / math.sqrt(m)
-    den = _word_sums(stacks, pi[None], e_vec)
-    den *= m**1.5
-    return num, den
-
-
-def _weigh_rhs(
-    num: np.ndarray, den: np.ndarray, m: int, eps: float, trace_normalized: bool
-) -> float:
-    """(1/m) sum_words num log(num / den), optionally for the unit-trace rescaling.
-
-    Words with num <= eps contribute nothing; a kept word with den <= eps
-    makes the bound +inf.
-    """
-    scale = float(num.sum()) / m if trace_normalized else 1.0
-    if trace_normalized and scale <= 0.0:
-        raise ValueError("cannot trace-normalize a zero state")
-    keep = num > eps
-    if np.any(keep & (den <= eps)):
-        return math.inf
-    terms = np.divide(num, den, out=np.ones_like(num), where=keep)
-    if trace_normalized:
-        terms /= scale
-    np.log(terms, out=terms)
-    terms *= num
-    return float(terms.sum()) / (m * scale)
+    q = _word_sums(stacks, pi[None], np.ones((t.m, 1)))
+    return p, q
 
 
 def bound_rhs(
-    t: SiteTensorSet,
-    pi: np.ndarray,
-    n_sites: int,
-    eps: float = SUPPORT_EPS,
-    trace_normalized: bool = False,
+    t: SiteTensorSet, pi: np.ndarray, n_sites: int, trace_normalized: bool = False
 ) -> float:
     """Closed-form lower bound for the MPS-vs-observation relative entropy.
 
     (1/m) sum_words |Tr prod A|^2 * log(|Tr prod A|^2 / (m^{3/2} pi^T
-    (prod A o conj A) e)).  Zero numerators contribute nothing; a nonzero
-    numerator over a vanishing denominator gives +inf.  With
-    ``trace_normalized`` the word weights are rescaled to the unit-trace
-    version of the MPS density.  Numerators and denominators for all words
-    come from two split-half contractions: the dense state, and the
+    (prod A o conj A) e)), the divergence of the dephased pair.  Words whose
+    numerator is zero relative to the largest contribute nothing; a kept
+    word over a denominator that is zero relative to the largest gives +inf.
+    With ``trace_normalized`` the word weights are rescaled to the unit-trace
+    version of the MPS density; the literal value follows from it as
+    t * RHS + t ln t with t the trace.  Numerators and denominators for all
+    words come from two split-half contractions: the dense state, and the
     boundary-vector form over the family |A_k|^2.
     """
     pi = np.asarray(pi, dtype=np.float64).reshape(-1)
     if pi.size != t.m:
         raise ValueError(f"pi has length {pi.size}, expected {t.m}")
     psi = build_state(t, n_sites).entries
-    num, den = _rhs_terms(t, pi, n_sites, psi)
-    return _weigh_rhs(num, den, t.m, eps, trace_normalized)
+    p, q = _word_weights(t, pi, n_sites, psi)
+    trace = float(p.sum())
+    if trace <= 0.0:
+        if trace_normalized:
+            raise ValueError("cannot trace-normalize a zero state")
+        return 0.0
+    p /= trace
+    value = _divergence(p, q)
+    return value if trace_normalized else _unscaled(value, trace)
 
 
 @dataclass(frozen=True)
@@ -302,49 +312,22 @@ class BoundReport:
         return abs(self.trace_rho - 1.0)
 
 
-def _classical_divergence(p: np.ndarray, q: np.ndarray, eps: float) -> float:
-    """sum_w p ln(p / q) over words with p > eps; +inf if such a word has q <= eps."""
-    keep = p > eps
-    if np.any(q[keep] <= eps):
-        return math.inf
-    pk = p[keep]
-    return float(np.sum(pk * np.log(pk / q[keep])))
-
-
-def _rank_one_divergence(
-    t: float, weights: np.ndarray, mu: np.ndarray, eps: float
-) -> float:
-    """S(t |v><v| || sigma) from sigma's eigenvalues mu and weights |<u_j|v>|^2.
-
-    Same support rules as `relative_entropy`: t <= eps gives 0, and a mass
-    above eps of v on sigma's null space (mu <= eps) gives +inf.
-    """
-    if t <= eps:
-        return 0.0
-    support = mu > eps
-    if float(weights[~support].sum()) > eps:
-        return math.inf
-    return t * math.log(t) - t * float(weights[support] @ np.log(mu[support]))
-
-
 def check_bound(
-    model: EhmmModel,
-    n_sites: int,
-    eps: float = SUPPORT_EPS,
-    size_cap: int = DEFAULT_SIZE_CAP,
+    model: EhmmModel, n_sites: int, size_cap: int = DEFAULT_SIZE_CAP
 ) -> BoundReport:
     """Run the full lower-bound pipeline for a model at N sites.
 
     The observation density sigma comes from the trace route (the
     hidden-chain recursion, which never forms the joint state) and is
-    eigendecomposed once; the model was validated when it was built.  The
-    MPS density (1/m)|psi><psi| has rank one, so S against sigma is
-    t ln t - t <v|log sigma|v> with t = |psi|^2 / m and v = psi / |psi|.
-    Both densities dephased are diagonal, so their S is the classical
-    divergence between |psi|^2 / m and diag(sigma).  Support cuts at ``eps``
-    match `relative_entropy`, which stays the literal oracle.  The RHS word
-    terms are evaluated once and weighted for both the literal and the
-    unit-trace bound.
+    eigendecomposed once; the model was validated when it was built.  Three
+    divergences are evaluated, all for the unit-trace MPS density |v><v|,
+    v = psi / |psi|: S = -<v|log sigma|v> from sigma's spectrum (the density
+    has rank one), the dephased S between the word weights p = |v|^2 and
+    diag(sigma), and the RHS between p and the Schur-formula diagonal.  Each
+    goes through `relative_entropy`'s support rule, so criterion 5's
+    identity (RHS = dephased S) compares like with like.  The literal values,
+    for (1/m)|psi><psi| with trace t = |psi|^2 / m, follow exactly as
+    t * S + t ln t, because the rule is scale-invariant.
     """
     t = tensors_from_ehmm(model, require_unitary=False)
     hidden_unitary = all(is_unitary(u) for u in model.hidden)
@@ -352,25 +335,23 @@ def check_bound(
     sigma = _hidden_chain_density(model, n_sites, size_cap)
 
     spec = hermitian_eig(sigma)
-    mu = spec.eigenvalues
-    if mu.min() < -eps:
+    if spec.eigenvalues.min() < -_PSD_TOL:
         raise ValueError("inputs must be positive semidefinite within eps")
-    num, den = _rhs_terms(t, model.pi, n_sites, psi)
-    p = num / t.m
-    q = np.diag(sigma).real
+    p, q_formula = _word_weights(t, model.pi, n_sites, psi)
     trace_rho = float(p.sum())
     if trace_rho <= 0.0:
         raise ValueError("cannot normalize a traceless density matrix")
+    p /= trace_rho
+    q = np.diag(sigma).real
     v = psi / math.sqrt(trace_rho * t.m)
     weights = np.abs(spec.eigenvectors.conj().T @ v) ** 2
 
-    s_value = _rank_one_divergence(trace_rho, weights, mu, eps)
-    s_diag = _classical_divergence(p, q, eps)
-    rhs_value = _weigh_rhs(num, den, t.m, eps, trace_normalized=False)
-
-    s_norm = _rank_one_divergence(1.0, weights, mu, eps)
-    s_diag_norm = _classical_divergence(p / trace_rho, q, eps)
-    rhs_norm = _weigh_rhs(num, den, t.m, eps, trace_normalized=True)
+    s_norm = _divergence(np.ones(1), spec.eigenvalues, weights[None])
+    s_diag_norm = _divergence(p, q)
+    rhs_norm = _divergence(p, q_formula)
+    s_value, s_diag, rhs_value = (
+        _unscaled(x, trace_rho) for x in (s_norm, s_diag_norm, rhs_norm)
+    )
 
     return BoundReport(
         s_value=s_value,

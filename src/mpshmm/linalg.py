@@ -16,11 +16,9 @@ from typing import Iterable, Sequence
 import numpy as np
 
 ATOL = 1e-10
-SUPPORT_EPS = 1e-12
 
 __all__ = [
     "ATOL",
-    "SUPPORT_EPS",
     "TensorVector",
     "HermitianSpectrum",
     "as_matrix",

@@ -127,11 +127,15 @@ def gauge_check(t: SiteTensorSet) -> GaugeReport:
     return GaugeReport(tuple(devs), GAUGE_TOL)
 
 
+class VerificationError(ValueError):
+    """Well-formed input failed one of the paper's conditions (the CLI's exit 1)."""
+
+
 def require_gauge(t: SiteTensorSet) -> None:
     report = gauge_check(t)
     if not report.ok:
         worst = max(range(len(report.deviations)), key=report.deviations.__getitem__)
-        raise ValueError(
+        raise VerificationError(
             f"gauge condition fails at site {worst + 1}: "
             f"deviation {report.deviations[worst]:.3e} > {GAUGE_TOL:.1e}"
         )

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import json
 import math
+import reprlib
+import sys
 from pathlib import Path
 from typing import Any
 
@@ -50,12 +52,15 @@ def _matrix_out(a: np.ndarray) -> list[list[list[float]]]:
 
 
 def _is_real(x: Any) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+    """A JSON number that converts to a float; a 400-digit integer does not."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        return False
+    return isinstance(x, float) or abs(x) <= sys.float_info.max
 
 
 def _complex_in(p: Any, where: str) -> complex:
     if not (isinstance(p, list) and len(p) == 2 and all(_is_real(x) for x in p)):
-        raise ValueError(f"{where}: expected an [re, im] pair of numbers, found {p!r}")
+        raise ValueError(f"{where}: expected an [re, im] pair of numbers, found {reprlib.repr(p)}")
     return complex(p[0], p[1])
 
 
@@ -224,7 +229,10 @@ def dump_json(doc: dict, path: str | Path | None = None) -> str:
 
 
 def load_json(path: str | Path) -> dict:
-    return json.loads(Path(path).read_text())
+    try:
+        return json.loads(Path(path).read_text())
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
 def load_model(path: str | Path) -> EhmmModel:
@@ -242,4 +250,4 @@ def _expect_kind(doc: dict, kind: str) -> None:
         )
     found = doc.get("kind")
     if found != kind:
-        raise ValueError(f"expected a {kind} document, found kind={found!r}")
+        raise ValueError(f"expected a {kind} document, found kind={reprlib.repr(found)}")

@@ -256,3 +256,34 @@ def test_invalid_model_file_is_refused_before_any_output(tmp_path, capsys, argv)
         "error: invalid model (1 violation(s)); first: "
         "hidden[1] row 0: squared-modulus row sum = 0.36\n"
     )
+
+
+def test_gauge_failure_is_a_verification_failure(tmp_path, capsys):
+    doc = serialize.tensors_to_dict(catalog.get("aklt").tensors)
+    doc["sites"][0][0][0][0] = [2.0, 0.0]
+    path = tmp_path / "bad.json"
+    serialize.dump_json(doc, path)
+    assert main(["extract", "--tensors", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: gauge condition fails at site 1: deviation ")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["extract", "--tensors"], "[" * 200000 + "]" * 200000),
+        (["extract", "--tensors"], '{"kind": "site_tensor_set", "translation_invariant": true,'
+         ' "sites": [[[[[1' + "0" * 400 + ', 0]]]]]}'),
+        (["entropy", "--N", "1", "--model"], '{"kind": "ehmm_model", "translation_invariant": true,'
+         ' "pi": [1' + "0" * 400 + '], "hidden": [[[[1, 0]]]], "emission": [[[[1, 0]]]]}'),
+    ],
+    ids=["deep-nesting", "huge-matrix-entry", "huge-pi"],
+)
+def test_malformed_json_file_is_one_line_usage_error(tmp_path, capsys, argv, text):
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    assert main([*argv, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1

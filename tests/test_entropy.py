@@ -579,3 +579,68 @@ def test_bound_rhs_peak_memory_within_build_state_bound():
         finally:
             tracemalloc.stop()
         assert peak <= limit
+
+
+# ---- the scale-aware support rule ----
+
+
+def uncut_bound_rhs(t, pi, n, trace_normalized):
+    """The bound's word sum over every word with a nonzero numerator, no cut at all."""
+    num = np.abs(build_state(t, n).entries) ** 2
+    row = np.asarray(pi, dtype=float)[None, :]
+    for l in range(1, n + 1):
+        sq = np.abs(np.stack(t.family_at(l))) ** 2
+        row = (row[:, None, None, :] @ sq[None]).reshape(-1, t.m)
+    den = t.m * row.sum(axis=1)  # m^{3/2} pi^T (prod A o conj A) e, e = 1 / sqrt(m)
+    scale = num.sum() / t.m if trace_normalized else 1.0
+    keep = num > 0
+    weights = num[keep] / (t.m * scale)
+    return float(weights @ np.log(num[keep] / (scale * den[keep])))
+
+
+@pytest.mark.parametrize("norm", [False, True])
+def test_bound_rhs_stays_finite_where_word_weights_fall_below_an_absolute_cut(norm):
+    # at N=13 the 3^13 word weights shrink past 1e-12; an absolute cut read
+    # real denominators as zero and returned inf
+    model = catalog.random_model(2, 3, 13, 7)
+    t = tensors_from_ehmm(model)
+    got = bound_rhs(t, model.pi, 13, trace_normalized=norm)
+    assert math.isfinite(got)
+    assert abs(got - uncut_bound_rhs(t, model.pi, 13, norm)) <= 1e-10
+
+
+def test_check_bound_keeps_small_real_eigenvalues_of_sigma():
+    # sigma has a dozen eigenvalues between 7e-15 and 1e-12 carrying about
+    # 4e-12 of v's mass; an absolute cut counted them as null and gave S = inf
+    model = catalog.random_model(3, 3, 8, 24)
+    rep = check_bound(model, 6)
+    assert math.isfinite(rep.s_value) and math.isfinite(rep.s_value_normalized)
+    assert not rep.support_violation
+    psi = build_state(tensors_from_ehmm(model), 6).entries
+    v = psi / np.linalg.norm(psi)
+    mu, vecs = np.linalg.eigh(observation_density_trace(model, 6).matrix)
+    w = np.abs(vecs.conj().T @ v) ** 2
+    positive = mu > 0
+    assert abs(rep.s_value_normalized + float(w[positive] @ np.log(mu[positive]))) <= 1e-9
+    assert rep.holds and rep.holds_normalized
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    m=st.integers(1, 3),
+    d=st.integers(1, 3),
+    n=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_check_bound_property(m, d, n, seed):
+    assume(n <= (2 if d == 3 else 3))
+    model = catalog.random_model(m, d, n, seed)
+    rep = check_bound(model, n)
+    assert rep.holds and rep.holds_normalized
+    assert abs(rep.rhs_value_normalized - rep.s_diag_normalized) <= 1e-10
+    fast = (rep.s_value, rep.s_diag, rep.s_value_normalized, rep.s_diag_normalized)
+    for got, want in zip(fast, literal_divergences(model, n)):
+        if math.isinf(want) or math.isinf(got):
+            assert got == want
+        else:
+            assert abs(got - want) <= 1e-10

@@ -1,7 +1,12 @@
+import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mpshmm import catalog, serialize
 from mpshmm.bridge import decompose_tensors, extract_classical_hmm
@@ -137,3 +142,87 @@ def test_load_model_rejects_top_level_list(tmp_path):
         serialize.load_model(path)
     with pytest.raises(ValueError, match="site_tensor_set document"):
         serialize.load_tensors(path)
+
+
+# ---- fuzzing: any JSON-shaped input ends in ValueError (or OSError on load) ----
+
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(-(10**401), 10**401)
+    | st.floats()
+    | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=25,
+)
+
+
+def _paths(doc, prefix=()):
+    """Every position in a JSON document, as a tuple of keys and indices."""
+    yield prefix
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from _paths(value, prefix + (key,))
+
+
+def _replaced(doc, path, value):
+    """A copy of doc with the entry at path replaced by value."""
+    if not path:
+        return value
+    out = dict(doc) if isinstance(doc, dict) else list(doc)
+    out[path[0]] = _replaced(doc[path[0]], path[1:], value)
+    return out
+
+
+FROM_DICT = {
+    "model": (serialize.model_from_dict, serialize.model_to_dict(catalog.random_model(2, 2, 2, 81))),
+    "tensors": (serialize.tensors_from_dict, serialize.tensors_to_dict(catalog.get("ghz").tensors)),
+    "state": (serialize.state_from_dict, serialize.state_to_dict(TensorVector((2,), np.array([0.6, 0.8j])))),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(FROM_DICT))
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_from_dict_raises_only_value_error(kind, data):
+    from_dict, valid = FROM_DICT[kind]
+    near_valid = st.sampled_from(list(_paths(valid))).flatmap(
+        lambda path: JSON_VALUES.map(lambda value: _replaced(valid, path, value))
+    )
+    doc = data.draw(JSON_VALUES | near_valid)
+    try:
+        from_dict(doc)
+    except ValueError:
+        pass
+
+
+@settings(max_examples=60, deadline=None)
+@given(raw=st.binary(max_size=64) | JSON_VALUES.map(lambda v: json.dumps(v).encode()))
+def test_loaders_raise_only_value_or_os_error(raw):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "doc.json"
+        path.write_bytes(raw)
+        for load in (serialize.load_json, serialize.load_model, serialize.load_tensors):
+            try:
+                load(path)
+            except (ValueError, OSError):
+                pass
+
+
+def test_deeply_nested_file_is_a_value_error(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200000 + "]" * 200000)
+    with pytest.raises(ValueError, match="nested too deeply"):
+        serialize.load_tensors(path)
+
+
+def test_integer_too_large_for_a_float_is_a_value_error():
+    doc = serialize.tensors_to_dict(catalog.get("aklt").tensors)
+    doc["sites"][0][0][0][0][0] = 10**400
+    with pytest.raises(ValueError, match=r"sites\[1\]\[0\]"):
+        serialize.tensors_from_dict(doc)
+    doc = serialize.model_to_dict(catalog.get("ghz").model)
+    doc["pi"][0] = -(10**400)
+    with pytest.raises(ValueError, match="field 'pi'"):
+        serialize.model_from_dict(doc)

@@ -237,8 +237,11 @@ def decompose_tensors(t: SiteTensorSet, tol: float = DECOMPOSE_TOL) -> Decomposi
     be rank one: chi row i is the unit right factor (phase fixed so its first
     nonzero entry is nonnegative real), U row i the left factor.  Feasible
     only if every slice passes and the assembled U is unitary within `tol`.
-    Callers are expected to hand in gauge-satisfying tensors.
+    Callers are expected to hand in gauge-satisfying tensors.  A negative or
+    non-finite `tol` raises `ValueError`: every `> tol` test is false for nan.
     """
+    if not (np.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tol must be finite and non-negative, got {tol!r}")
     hidden_out = []
     emission_out = []
     worst_err = 0.0

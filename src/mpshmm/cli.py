@@ -7,18 +7,23 @@ round trip or factorization, or a `VerificationError` such as a failed gauge
 condition), 2 usage or I/O error.  Human tables round to 12 significant
 digits; ``--format json`` emits full-precision structured output.  The
 default dense-state size cap comes from the MPSHMM_SIZE_CAP environment
-variable when set.
+variable when set; it is read on every `main` call.  The argument grammar is
+built once per process for each default cap, so repeated in-process calls
+pay only for their own work.  Option values are checked as they are parsed:
+a negative or non-finite ``--tol``, a non-positive ``--size-cap`` or a
+non-finite ``--theta`` is a usage error (exit 2).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import math
 import os
 import sys
 from pathlib import Path
-from typing import Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -77,21 +82,11 @@ def _size_cap_default() -> int:
     return cap
 
 
-def _theta_values(raw: str | None) -> list[float] | None:
-    if raw is None:
-        return None
-    return [float(x) for x in raw.split(",") if x]
-
-
-def _entry_from_name(name: str, theta: str | None) -> catalog.CatalogEntry:
-    return catalog.get(name, theta=_theta_values(theta))
-
-
 def _resolve_model(args: argparse.Namespace) -> EhmmModel:
     if getattr(args, "model", None):
         return serialize.load_model(args.model)
     if getattr(args, "name", None):
-        entry = _entry_from_name(args.name, getattr(args, "theta", None))
+        entry = catalog.get(args.name, theta=getattr(args, "theta", None))
         if entry.model is None:
             raise ValueError(f"catalog entry {args.name!r} carries no model")
         return entry.model
@@ -102,7 +97,7 @@ def _resolve_tensors(args: argparse.Namespace) -> SiteTensorSet:
     if getattr(args, "tensors", None):
         return serialize.load_tensors(args.tensors)
     if getattr(args, "name", None):
-        entry = _entry_from_name(args.name, getattr(args, "theta", None))
+        entry = catalog.get(args.name, theta=getattr(args, "theta", None))
         if entry.tensors is None:
             raise ValueError(f"catalog entry {args.name!r} carries no tensors")
         return entry.tensors
@@ -163,7 +158,7 @@ def _cmd_catalog(args: argparse.Namespace) -> int:
             req = f" (requires {required})" if required else ""
             print(f"{name:<13} {parts:<14}{summary}{req}")
         return 0
-    entry = _entry_from_name(args.entry, args.theta)
+    entry = catalog.get(args.entry, theta=args.theta)
     out_dir = Path(args.dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     if entry.tensors is not None:
@@ -284,7 +279,40 @@ def _int_list(raw: str) -> list[int]:
     return values
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _checked(convert: Callable[[str], Any], ok: Callable[[Any], bool], rule: str):
+    """An argparse ``type=``: convert the text, then refuse a value that breaks ``rule``."""
+
+    def parse(raw: str) -> Any:
+        try:
+            value = convert(raw)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"bad value {raw!r}") from None
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"{rule}, got {raw!r}")
+        return value
+
+    return parse
+
+
+# every `> tol` test is false for nan; cos and sin of inf or nan are undefined
+_tolerance = _checked(
+    float, lambda tol: math.isfinite(tol) and tol >= 0.0, "must be finite and non-negative"
+)
+_positive_int = _checked(int, lambda value: value >= 1, "must be a positive integer")
+_theta_list = _checked(
+    lambda raw: [float(x) for x in raw.split(",") if x],
+    lambda values: all(map(math.isfinite, values)),
+    "theta values must be finite",
+)
+
+
+@functools.cache
+def _build_parser(size_cap: int) -> argparse.ArgumentParser:
+    """The full grammar with ``size_cap`` as the ``--size-cap`` default.
+
+    Cached per cap: a parser holds no per-call state, because every
+    `parse_args` call fills a fresh namespace.
+    """
     parser = argparse.ArgumentParser(
         prog="mpshmm",
         description=(
@@ -293,7 +321,6 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    size_cap = _size_cap_default()
 
     def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--format", choices=("table", "json"), default="table")
@@ -301,14 +328,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_name(p: argparse.ArgumentParser) -> None:
         p.add_argument("--name", help="catalog entry name")
-        p.add_argument("--theta", help="comma-separated theta values for the theta family")
+        p.add_argument(
+            "--theta", type=_theta_list, help="comma-separated theta values for the theta family"
+        )
 
     p_cat = sub.add_parser("catalog", help="list or export named constructions")
     cat_sub = p_cat.add_subparsers(dest="action", required=True)
     cat_sub.add_parser("list", help="show available entries")
     p_exp = cat_sub.add_parser("export", help="write tensor/model files for an entry")
     p_exp.add_argument("entry")
-    p_exp.add_argument("--theta")
+    p_exp.add_argument("--theta", type=_theta_list)
     p_exp.add_argument("--dir", default=".")
     p_cat.set_defaults(func=_cmd_catalog)
 
@@ -317,7 +346,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bm.add_argument("--model", help="model JSON file (tensors derived from it)")
     add_name(p_bm)
     p_bm.add_argument("--sites", type=int, required=True)
-    p_bm.add_argument("--size-cap", type=int, default=size_cap)
+    p_bm.add_argument("--size-cap", type=_positive_int, default=size_cap)
     add_common(p_bm)
     p_bm.set_defaults(func=_cmd_build_mps)
 
@@ -326,7 +355,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_name(p_be)
     p_be.add_argument("--n", type=int, required=True)
     p_be.add_argument("--which", choices=("hon", "hn", "on"), default="hon")
-    p_be.add_argument("--size-cap", type=int, default=size_cap)
+    p_be.add_argument("--size-cap", type=_positive_int, default=size_cap)
     add_common(p_be)
     p_be.set_defaults(func=_cmd_build_ehmm_state)
 
@@ -336,8 +365,8 @@ def _build_parser() -> argparse.ArgumentParser:
     add_name(p_ver)
     p_ver.add_argument("--N", type=int, required=True, help="number of kept sites")
     p_ver.add_argument("--n", type=_int_list, required=True, help="joint-state lengths, e.g. 3,4,5")
-    p_ver.add_argument("--tol", type=float, default=1e-10)
-    p_ver.add_argument("--size-cap", type=int, default=size_cap)
+    p_ver.add_argument("--tol", type=_tolerance, default=1e-10)
+    p_ver.add_argument("--size-cap", type=_positive_int, default=size_cap)
     p_ver.set_defaults(func=_cmd_verify)
 
     p_ex = sub.add_parser("extract", help="classical transition/emission matrices")
@@ -349,7 +378,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_dec = sub.add_parser("decompose", help="rank-one factorization a = U * chi")
     p_dec.add_argument("--tensors")
     add_name(p_dec)
-    p_dec.add_argument("--tol", type=float, default=DECOMPOSE_TOL)
+    p_dec.add_argument("--tol", type=_tolerance, default=DECOMPOSE_TOL)
     add_common(p_dec)
     p_dec.set_defaults(func=_cmd_decompose)
 
@@ -357,7 +386,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ent.add_argument("--model")
     add_name(p_ent)
     p_ent.add_argument("--N", type=int, required=True)
-    p_ent.add_argument("--size-cap", type=int, default=size_cap)
+    p_ent.add_argument("--size-cap", type=_positive_int, default=size_cap)
     add_common(p_ent)
     p_ent.set_defaults(func=_cmd_entropy)
 
@@ -370,7 +399,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        args = _build_parser(_size_cap_default()).parse_args(argv)
         return args.func(args)
     except (ValueError, KeyError, OSError) as exc:
         # str() of a KeyError is the repr of its argument, quotes included

@@ -217,6 +217,14 @@ def _unscaled(value: float, t: float) -> float:
     return t * value + t * math.log(t)
 
 
+def _require_psd(min_eigenvalue: float) -> None:
+    if min_eigenvalue < -_PSD_TOL:
+        raise ValueError(
+            f"inputs must be positive semidefinite: smallest eigenvalue "
+            f"{min_eigenvalue:.3e} is below -{_PSD_TOL:g}"
+        )
+
+
 def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """Tr(rho log rho) - Tr(rho log sigma) on supports; +inf if supports split.
 
@@ -230,8 +238,7 @@ def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
         raise ValueError(f"shape mismatch {r.shape} vs {s.shape}")
     spec_r = hermitian_eig(r)
     spec_s = hermitian_eig(s)
-    if spec_r.eigenvalues.min() < -_PSD_TOL or spec_s.eigenvalues.min() < -_PSD_TOL:
-        raise ValueError("inputs must be positive semidefinite within eps")
+    _require_psd(min(spec_r.eigenvalues.min(), spec_s.eigenvalues.min()))
     overlap = np.abs(spec_r.eigenvectors.conj().T @ spec_s.eigenvectors) ** 2
     return _divergence(spec_r.eigenvalues, spec_s.eigenvalues, overlap)
 
@@ -335,8 +342,7 @@ def check_bound(
     sigma = _hidden_chain_density(model, n_sites, size_cap)
 
     spec = hermitian_eig(sigma)
-    if spec.eigenvalues.min() < -_PSD_TOL:
-        raise ValueError("inputs must be positive semidefinite within eps")
+    _require_psd(spec.eigenvalues.min())
     p, q_formula = _word_weights(t, model.pi, n_sites, psi)
     trace_rho = float(p.sum())
     if trace_rho <= 0.0:

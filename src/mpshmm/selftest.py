@@ -8,6 +8,7 @@ cannot drift apart.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import time
@@ -50,8 +51,12 @@ class CriterionResult:
     elapsed: float
 
 
-def _criterion_models() -> list[tuple[str, EhmmModel]]:
-    """The model roster shared by several criteria."""
+@functools.cache
+def _criterion_models() -> tuple[tuple[str, EhmmModel], ...]:
+    """The model roster shared by several criteria, built once per process.
+
+    Sharing is safe: an `EhmmModel` is frozen and holds read-only arrays.
+    """
     models = [
         ("ghz", catalog.get("ghz").model),
         ("cluster", catalog.get("cluster").model),
@@ -61,7 +66,7 @@ def _criterion_models() -> list[tuple[str, EhmmModel]]:
     for seed in range(10):
         m, d = RANDOM_SHAPES[seed % len(RANDOM_SHAPES)]
         models.append((f"random(m={m},d={d},seed={seed})", catalog.random_model(m, d, 6, seed)))
-    return models
+    return tuple(models)
 
 
 def criterion_1() -> CriterionResult:
@@ -282,8 +287,8 @@ def criterion_7() -> CriterionResult:
     worst_route = 0.0
     for _, model in _criterion_models():
         for n in range(1, 6):
-            psi = build_psi_hon(model, n)
-            worst_norm = max(worst_norm, abs(psi.norm() - 1.0))
+            # the joint state is dropped before the observation route builds its own
+            worst_norm = max(worst_norm, abs(build_psi_hon(model, n).norm() - 1.0))
             via_pip = observation_from_joint(model, n)
             direct = build_psi_on(model, n)
             worst_route = max(

@@ -4,6 +4,11 @@ Complex entries are two-element [re, im] arrays; matrices are row-major
 nested lists; every document carries ``schema_version``.  Floats are written
 with full precision so export/import round-trips bit for bit.  Infinities
 (legal for divergences) are encoded as the string "inf".
+
+`dump_json` writes one top-level field per line, and each field's value on
+that one line, so CPython's C encoder (which ``json.dumps`` takes only
+without ``indent``) encodes every value.  The text parses to the same
+document as ``json.dumps(doc, indent=2)``; only the whitespace differs.
 """
 
 from __future__ import annotations
@@ -43,12 +48,10 @@ __all__ = [
 ]
 
 
-def _pair(z: complex) -> list[float]:
-    return [float(z.real), float(z.imag)]
-
-
-def _matrix_out(a: np.ndarray) -> list[list[list[float]]]:
-    return [[_pair(z) for z in row] for row in np.asarray(a, dtype=np.complex128)]
+def _pairs(a: np.ndarray) -> list:
+    """``a`` as nested lists with every complex entry an [re, im] pair."""
+    a = np.asarray(a, dtype=np.complex128)
+    return np.stack((a.real, a.imag), -1).tolist()
 
 
 def _is_real(x: Any) -> bool:
@@ -99,8 +102,8 @@ def model_to_dict(model: EhmmModel) -> dict:
         "d": model.d,
         "translation_invariant": model.translation_invariant,
         "pi": [float(p) for p in model.pi],
-        "hidden": [_matrix_out(u) for u in model.hidden],
-        "emission": [_matrix_out(c) for c in model.emission],
+        "hidden": [_pairs(u) for u in model.hidden],
+        "emission": [_pairs(c) for c in model.emission],
     }
 
 
@@ -126,7 +129,7 @@ def tensors_to_dict(t: SiteTensorSet) -> dict:
         "m": t.m,
         "d": t.d,
         "translation_invariant": t.translation_invariant,
-        "sites": [[_matrix_out(a) for a in fam] for fam in t.sites],
+        "sites": [[_pairs(a) for a in fam] for fam in t.sites],
     }
 
 
@@ -150,7 +153,7 @@ def state_to_dict(v: TensorVector) -> dict:
         "kind": "tensor_vector",
         "factor_dims": list(v.factor_dims),
         "norm": v.norm(),
-        "entries": [_pair(z) for z in v.entries],
+        "entries": _pairs(v.entries),
     }
 
 
@@ -172,8 +175,8 @@ def extracted_to_dict(e: ExtractedHmm) -> dict:
         "schema_version": SCHEMA_VERSION,
         "kind": "extracted_hmm",
         "translation_invariant": e.translation_invariant,
-        "transitions": [_matrix_out(p) for p in e.transitions],
-        "emissions": [_matrix_out(q) for q in e.emissions],
+        "transitions": [_pairs(p) for p in e.transitions],
+        "emissions": [_pairs(q) for q in e.emissions],
     }
 
 
@@ -194,8 +197,8 @@ def decomposition_to_dict(r: DecompositionResult) -> dict:
     }
     if r.feasible:
         doc["translation_invariant"] = r.translation_invariant
-        doc["hidden"] = [_matrix_out(u) for u in r.hidden or ()]
-        doc["emission"] = [_matrix_out(c) for c in r.emission or ()]
+        doc["hidden"] = [_pairs(u) for u in r.hidden or ()]
+        doc["emission"] = [_pairs(c) for c in r.emission or ()]
         doc["reconstruction_error"] = r.reconstruction_error
     else:
         doc["witness"] = _witness_to_dict(r.witness) if r.witness else None
@@ -222,7 +225,9 @@ def bound_report_to_dict(rep: BoundReport) -> dict:
 
 
 def dump_json(doc: dict, path: str | Path | None = None) -> str:
-    text = json.dumps(doc, indent=2)
+    """``doc`` as JSON text, one top-level field per line; also written to ``path``."""
+    fields = ",\n".join(f"  {json.dumps(k)}: {json.dumps(v)}" for k, v in doc.items())
+    text = f"{{\n{fields}\n}}" if doc else "{}"
     if path is not None:
         Path(path).write_text(text + "\n")
     return text

@@ -453,6 +453,12 @@ def test_decompose_theta_infeasible():
     assert result.witness.sigma2 > 0
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-12])
+def test_decompose_rejects_bad_tolerance(tol):
+    with pytest.raises(ValueError, match="tol must be finite and non-negative"):
+        decompose_tensors(catalog.get("aklt").tensors, tol)
+
+
 def test_decompose_zero_row():
     t = SiteTensorSet(
         ((np.array([[1, 0], [0, 0]], dtype=complex), np.zeros((2, 2), dtype=complex)),),

@@ -5,9 +5,11 @@ import re
 import numpy as np
 import pytest
 
-from mpshmm import catalog, serialize
+from mpshmm import catalog, cli, serialize
+from mpshmm.bridge import observed_mps
 from mpshmm.cli import _emit_state, _fmt_complex, main
 from mpshmm.linalg import TensorVector
+from mpshmm.mps import build_state
 
 
 def test_catalog_list(capsys):
@@ -22,9 +24,15 @@ def test_verify_ghz_passes(capsys):
     assert out.count("ok") == 3
 
 
-def test_verify_failure_exit_code(capsys):
-    # a negative tolerance can never be met, exercising the failure path
-    assert main(["verify", "theorem1", "--name", "ghz", "--N", "2", "--n", "2", "--tol", "-1"]) == 1
+def test_verify_failure_exit_code(monkeypatch, capsys):
+    # the identity holds for every valid model, so a perturbed measured state
+    # exercises the failure path (a negative tolerance is now a usage error)
+    def perturbed(model, n_keep, n, size_cap):
+        v = observed_mps(model, n_keep, n, size_cap)
+        return TensorVector(v.factor_dims, v.entries + 1e-6)
+
+    monkeypatch.setattr(cli, "observed_mps", perturbed)
+    assert main(["verify", "theorem1", "--name", "ghz", "--N", "2", "--n", "2"]) == 1
     assert "FAIL" in capsys.readouterr().out
 
 
@@ -287,3 +295,100 @@ def test_malformed_json_file_is_one_line_usage_error(tmp_path, capsys, argv, tex
     assert main([*argv, str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["decompose", "--name", "aklt", "--tol", "nan"],
+         "argument --tol: must be finite and non-negative, got 'nan'"),
+        (["decompose", "--name", "aklt", "--tol", "-0.001"],
+         "argument --tol: must be finite and non-negative, got '-0.001'"),
+        (["verify", "theorem1", "--name", "ghz", "--N", "3", "--n", "3", "--tol", "nan"],
+         "argument --tol: must be finite and non-negative, got 'nan'"),
+        (["verify", "theorem1", "--name", "ghz", "--N", "3", "--n", "3", "--tol", "inf"],
+         "argument --tol: must be finite and non-negative, got 'inf'"),
+        (["build-mps", "--name", "ghz", "--sites", "3", "--size-cap", "-5"],
+         "argument --size-cap: must be a positive integer, got '-5'"),
+        (["entropy", "--name", "ghz", "--N", "2", "--size-cap", "0"],
+         "argument --size-cap: must be a positive integer, got '0'"),
+        (["verify", "theorem1", "--name", "theta", "--theta", "inf", "--N", "2", "--n", "2"],
+         "argument --theta: theta values must be finite, got 'inf'"),
+        (["extract", "--name", "theta", "--theta", "0.5,nan"],
+         "argument --theta: theta values must be finite, got '0.5,nan'"),
+        (["catalog", "export", "theta", "--theta", "nan"],
+         "argument --theta: theta values must be finite, got 'nan'"),
+        (["decompose", "--name", "aklt", "--tol", "abc"], "argument --tol: bad value 'abc'"),
+        (["extract", "--name", "theta", "--theta", "0.5,x"], "argument --theta: bad value '0.5,x'"),
+    ],
+    ids=["decompose-nan", "decompose-negative", "verify-nan", "verify-inf", "size-cap-negative",
+         "size-cap-zero", "theta-inf", "theta-nan", "export-theta-nan", "tol-text", "theta-text"],
+)
+def test_bad_option_value_is_usage_error_naming_the_option(capsys, argv, message):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and errors[0].endswith(f"error: {message}")
+
+
+def test_zero_tolerance_is_accepted(capsys):
+    assert main(["verify", "theorem1", "--name", "ghz", "--N", "2", "--n", "2", "--tol", "0"]) == 0
+    assert capsys.readouterr().out == "n=2: max deviation 0.000e+00  ok\n"
+
+
+def _run(argv, capsys):
+    code = main(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["catalog", "list"],
+        ["entropy", "--name", "ghz", "--N", "3", "--format", "json"],
+        ["decompose", "--name", "aklt"],
+        ["build-mps", "--name", "cluster", "--sites", "3", "--size-cap", "16"],
+        ["build-mps", "--name", "ghz", "--sites", "5", "--size-cap", "16"],
+        ["extract", "--name", "w-state"],
+    ],
+    ids=lambda argv: "-".join(argv[:2]),
+)
+def test_same_argv_twice_gives_identical_output(capsys, argv):
+    first = _run(argv, capsys)
+    assert _run(argv, capsys) == first
+
+
+def test_json_call_leaves_no_state_for_the_next_call(capsys):
+    argv = ["build-mps", "--name", "ghz", "--sites", "2"]
+    code, out, _ = _run([*argv, "--format", "json"], capsys)
+    assert code == 0 and json.JSONDecoder().raw_decode(out)[0]["kind"] == "tensor_vector"
+    code, out, _ = _run(argv, capsys)
+    assert code == 0
+    assert out.splitlines()[:2] == [
+        "MPS on 2 sites",
+        "factors: [2, 2]  norm: 1.41421356237  nonzero coefficients: 2/4",
+    ]
+
+
+def test_size_cap_environment_variable_is_read_on_every_call(monkeypatch, capsys):
+    argv = ["build-mps", "--name", "ghz", "--sites", "3"]
+    monkeypatch.setenv("MPSHMM_SIZE_CAP", "4")
+    assert _run(argv, capsys)[0] == 2
+    monkeypatch.delenv("MPSHMM_SIZE_CAP")
+    assert _run(argv, capsys)[0] == 0
+    monkeypatch.setenv("MPSHMM_SIZE_CAP", "-1")
+    assert _run(argv, capsys)[0] == 2
+
+
+def test_state_out_file_round_trips_bit_for_bit(tmp_path, capsys):
+    path = tmp_path / "state.json"
+    assert main(["build-mps", "--name", "cluster", "--sites", "10", "--out", str(path)]) == 0
+    capsys.readouterr()
+    loaded = serialize.state_from_dict(serialize.load_json(path))
+    direct = build_state(catalog.get("cluster").tensors, 10)
+    assert loaded.factor_dims == direct.factor_dims
+    assert loaded.entries.tobytes() == direct.entries.tobytes()

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from mpshmm import catalog
+from mpshmm import catalog, entropy
 from mpshmm.bridge import tensors_from_ehmm
 from mpshmm.ehmm import EhmmModel, build_psi_hon
 from mpshmm.entropy import (
@@ -180,8 +180,15 @@ def test_relative_entropy_two_level_cases():
 
 
 def test_relative_entropy_rejects_non_psd():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^inputs must be positive semidefinite: smallest "
+                       r"eigenvalue -2\.000e-01 is below -1e-12$"):
         relative_entropy(np.diag([1.0, -0.2]), np.eye(2) / 2)
+
+
+def test_check_bound_psd_message_states_the_bound(monkeypatch):
+    monkeypatch.setattr(entropy, "_hidden_chain_density", lambda *args: np.diag([1.0, -0.5]))
+    with pytest.raises(ValueError, match=r"smallest eigenvalue -5\.000e-01 is below -1e-12$"):
+        check_bound(catalog.get("ghz").model, 1)
 
 
 def test_relative_entropy_nonnegative_zero_iff_equal():

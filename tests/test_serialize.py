@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mpshmm import catalog, serialize
-from mpshmm.bridge import decompose_tensors, extract_classical_hmm
+from mpshmm.bridge import DecompositionResult, decompose_tensors, extract_classical_hmm
 from mpshmm.entropy import BoundReport, check_bound
 from mpshmm.linalg import TensorVector
 
@@ -86,6 +86,55 @@ def test_bound_report_document_and_infinities():
     doc = serialize.bound_report_to_dict(rep)
     assert doc["s_value"] == "inf"
     assert doc["support_violation"] is True
+
+
+_INF_REPORT = BoundReport(
+    s_value=math.inf,
+    rhs_value=0.0,
+    s_diag=math.inf,
+    holds=True,
+    trace_rho=1.0,
+    trace_sigma=1.0,
+    s_value_normalized=math.inf,
+    rhs_value_normalized=-0.0,
+    s_diag_normalized=math.inf,
+    holds_normalized=True,
+    support_violation=True,
+    hidden_unitary=False,
+)
+
+DOCUMENTS = {
+    "model": lambda: serialize.model_to_dict(catalog.random_model(3, 2, 2, 82)),
+    "tensors": lambda: serialize.tensors_to_dict(catalog.get("aklt").tensors),
+    "state": lambda: serialize.state_to_dict(
+        TensorVector((2, 3), np.array([0.5, -0.0, 0.5j, -1e-300, 1 / 3 - 0.1j, 0.0]))
+    ),
+    "extracted": lambda: serialize.extracted_to_dict(
+        extract_classical_hmm(catalog.get("theta", theta=[0.3, 0.7]).tensors)
+    ),
+    "feasible": lambda: serialize.decomposition_to_dict(
+        decompose_tensors(catalog.get("cluster").tensors)
+    ),
+    "witness": lambda: serialize.decomposition_to_dict(
+        decompose_tensors(catalog.get("aklt").tensors)
+    ),
+    "empty-families": lambda: serialize.decomposition_to_dict(
+        DecompositionResult(feasible=True, reconstruction_error=0.0)
+    ),
+    "no-witness": lambda: serialize.decomposition_to_dict(DecompositionResult(feasible=False)),
+    "bound-inf": lambda: serialize.bound_report_to_dict(_INF_REPORT),
+    "bound": lambda: serialize.bound_report_to_dict(check_bound(catalog.get("cluster").model, 3)),
+    "empty": dict,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(DOCUMENTS))
+def test_dump_json_parses_to_the_indented_document(kind):
+    doc = DOCUMENTS[kind]()
+    text = serialize.dump_json(doc)
+    assert json.loads(text) == json.loads(json.dumps(doc, indent=2))
+    # one top-level field per line
+    assert len(text.splitlines()) == (len(doc) + 2 if doc else 1)
 
 
 def test_kind_mismatch_rejected():
@@ -226,3 +275,11 @@ def test_integer_too_large_for_a_float_is_a_value_error():
     doc["pi"][0] = -(10**400)
     with pytest.raises(ValueError, match="field 'pi'"):
         serialize.model_from_dict(doc)
+
+
+@settings(max_examples=100, deadline=None)
+@given(doc=st.dictionaries(st.text(max_size=8), JSON_VALUES, max_size=6))
+def test_dump_json_parses_like_the_indented_encoder(doc):
+    # re-encoding compares NaN by its text, where == would not
+    parsed = json.loads(serialize.dump_json(doc))
+    assert json.dumps(parsed) == json.dumps(json.loads(json.dumps(doc, indent=2)))

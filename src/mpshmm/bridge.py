@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ehmm import DEFAULT_SIZE_CAP, EhmmModel, _chain_step, _check_cap, is_unitary
+from .ehmm import DEFAULT_SIZE_CAP, EhmmModel, _chain_step, _check_cap, _first_non_unitary
 from .linalg import TensorVector
 from .mps import SiteTensorSet, require_gauge
 
@@ -89,15 +89,11 @@ def tensors_from_ehmm(model: EhmmModel, require_unitary: bool = True) -> SiteTen
     row-normalized (the partial-measurement identity still holds, the gauge
     condition need not).
     """
-    if require_unitary:
-        for idx, u in enumerate(model.hidden, start=1):
-            if not is_unitary(u):
-                raise ValueError(f"hidden matrix at site {idx} is not unitary")
-    sites = []
-    for u, chi in zip(model.hidden, model.emission):
-        fam = tuple(chi[:, k, None] * u for k in range(model.d))
-        sites.append(fam)
-    return SiteTensorSet(tuple(sites), model.translation_invariant)
+    u, chi = model._hidden, model._emission
+    if require_unitary and (bad := _first_non_unitary(u)) is not None:
+        raise ValueError(f"hidden matrix at site {bad} is not unitary")
+    tensors = chi.transpose(0, 2, 1)[..., None] * u[:, None]  # [l, k, i, j] = chi[l,i,k] U[l,i,j]
+    return SiteTensorSet(tensors, model.translation_invariant)
 
 
 def _check_boundary_args(model: EhmmModel, n_keep: int, n: int) -> None:
@@ -134,11 +130,8 @@ def build_e_vector(
 
     inv_sqrt_pi = 1.0 / np.sqrt(model.pi)
     mid = m ** (n_keep - 1)
-    rest = tail.size // m
-    out = np.zeros((m, mid, m, rest), dtype=np.complex128)
-    tail_flat = tail.reshape(m, rest)
-    for i in range(m):
-        out[i, :, i, :] = inv_sqrt_pi[i] * tail_flat[i][None, :]
+    out = np.zeros((m, mid, m, tail.size // m), dtype=np.complex128)
+    out[np.arange(m), :, np.arange(m)] = (inv_sqrt_pi[:, None] * tail.reshape(m, -1))[:, None]
     dims = (m,) * (n_keep - 1 + 1) + tail_dims  # i1, i2..iN, then tail factors
     return TensorVector(dims, out.reshape(-1))
 
@@ -171,12 +164,7 @@ def observed_mps(
     if n - n_keep > size_cap:
         raise ValueError(f"{n - n_keep} trailing sites exceed size cap {size_cap}")
 
-    r = np.ones(m, dtype=np.complex128)
-    for l in range(n, n_keep, -1):
-        chi = model.emission_at(l)
-        u = model.hidden_at(l)
-        r = ((u.conj() * u) * (chi.conj() * chi).sum(axis=1)[:, None]) @ r
-
+    r = _trailing_fold(model, n_keep, n)
     x = np.eye(m, dtype=np.complex128)
     for l in range(1, n_keep + 1):
         step = model.emission_at(l)[:, :, None] * model.hidden_at(l)[:, None, :]
@@ -188,6 +176,19 @@ def observed_mps(
     return TensorVector((d,) * n_keep, weight @ diag)
 
 
+def _trailing_fold(model: EhmmModel, n_keep: int, n: int) -> np.ndarray:
+    """r = T_{N+1} ... T_n 1, with every T_l from one operation on the model's stacks.
+
+    A function of its own, so that the factors are freed before the kept block grows.
+    """
+    u, chi = model._hidden, model._emission
+    trans = (u.conj() * u) * (chi.conj() * chi).sum(axis=2)[..., None]
+    r = np.ones(model.m, dtype=np.complex128)
+    for l in range(n, n_keep, -1):
+        r = trans[model._site_slot(l)] @ r
+    return r
+
+
 def extract_classical_hmm(t: SiteTensorSet) -> ExtractedHmm:
     """Classical HMM of a gauge-satisfying tensor set.
 
@@ -195,13 +196,10 @@ def extract_classical_hmm(t: SiteTensorSet) -> ExtractedHmm:
     over the column index.  The gauge condition makes both row-stochastic.
     """
     require_gauge(t)
-    transitions = []
-    emissions = []
-    for fam in t.sites:
-        sq = np.stack([np.abs(a) ** 2 for a in fam])  # (d, m, m)
-        transitions.append(sq.sum(axis=0))
-        emissions.append(sq.sum(axis=2).T.copy())
-    return ExtractedHmm(tuple(transitions), tuple(emissions), t.translation_invariant)
+    sq = np.abs(t._stack) ** 2  # (L, d, m, m)
+    transitions = tuple(sq.sum(axis=1))
+    emissions = tuple(sq.sum(axis=3).transpose(0, 2, 1).copy())
+    return ExtractedHmm(transitions, emissions, t.translation_invariant)
 
 
 def isometries_from_mps(t: SiteTensorSet, pi: np.ndarray | None = None) -> EhmmModel:
@@ -222,14 +220,6 @@ def isometries_from_mps(t: SiteTensorSet, pi: np.ndarray | None = None) -> EhmmM
     )
 
 
-def _first_nonzero_phase(v: np.ndarray, floor: float = 1e-12) -> complex:
-    """Unit phase making the first significant entry of v nonnegative real."""
-    for entry in v:
-        if abs(entry) > floor:
-            return entry.conjugate() / abs(entry)
-    return 1.0 + 0.0j
-
-
 def decompose_tensors(t: SiteTensorSet, tol: float = DECOMPOSE_TOL) -> DecompositionResult:
     """Test whether tensors factor as a[k][i,j] = U[i,j] * chi[i,k].
 
@@ -242,51 +232,34 @@ def decompose_tensors(t: SiteTensorSet, tol: float = DECOMPOSE_TOL) -> Decomposi
     """
     if not (np.isfinite(tol) and tol >= 0.0):
         raise ValueError(f"tol must be finite and non-negative, got {tol!r}")
-    hidden_out = []
-    emission_out = []
-    worst_err = 0.0
-    for s, fam in enumerate(t.sites, start=1):
-        stack = np.stack(fam)  # (d, m, m): stack[k, i, j]
-        m = t.m
-        u_site = np.zeros((m, m), dtype=np.complex128)
-        chi_site = np.zeros((m, t.d), dtype=np.complex128)
-        for i in range(m):
-            slice_m = stack[:, i, :].T  # (m, d) with [j, k] = a[k][i, j]
-            if np.linalg.norm(slice_m) <= tol:
-                return DecompositionResult(
-                    feasible=False,
-                    witness=DecompositionWitness(s, i + 1, 0.0, "zero emission row"),
-                )
-            left, sing, right_h = np.linalg.svd(slice_m)
-            sigma2 = float(sing[1]) if sing.size > 1 else 0.0
-            if sigma2 > tol * float(sing[0]):
-                return DecompositionResult(
-                    feasible=False,
-                    witness=DecompositionWitness(
-                        s, i + 1, sigma2, "slice has rank greater than one"
-                    ),
-                )
-            phase = _first_nonzero_phase(right_h[0])
-            chi_site[i] = right_h[0] * phase
-            u_site[i] = float(sing[0]) * left[:, 0] * np.conj(phase)
-            err = float(
-                np.max(np.abs(slice_m - np.outer(u_site[i], chi_site[i])))
-            )
-            worst_err = max(worst_err, err)
-        gram_dev = float(np.linalg.norm(u_site.conj().T @ u_site - np.eye(m)))
-        if gram_dev > tol:
-            return DecompositionResult(
-                feasible=False,
-                witness=DecompositionWitness(
-                    s, 0, gram_dev, "assembled hidden matrix is not unitary"
-                ),
-            )
-        hidden_out.append(u_site)
-        emission_out.append(chi_site)
+    slices = t._stack.transpose(0, 2, 3, 1)  # slices[s, i][j, k] = a[k][i, j], each m x d
+    left, sing, right_h = np.linalg.svd(slices)
+    sigma2 = sing[..., 1] if sing.shape[-1] > 1 else np.zeros(sing.shape[:-1])
+    zero = np.linalg.norm(slices, axis=(2, 3)) <= tol
+    slice_bad = zero | (sigma2 > tol * sing[..., 0])
+    # a right singular vector has unit norm, so some entry lies above the 1e-12 floor
+    chi = right_h[..., 0, :]
+    first = np.take_along_axis(chi, (np.abs(chi) > 1e-12).argmax(-1)[..., None], -1)
+    phase = first.conj() / np.abs(first)
+    chi = chi * phase
+    u = sing[..., :1] * left[..., 0] * np.conj(phase)
+    gram_dev = np.linalg.norm(u.conj().transpose(0, 2, 1) @ u - np.eye(t.m), axis=(1, 2))
+    for s in range(len(slices)):  # the first failing site; its slices before its U
+        i = int(slice_bad[s].argmax())
+        if zero[s, i]:
+            found = (i + 1, 0.0, "zero emission row")
+        elif slice_bad[s, i]:
+            found = (i + 1, float(sigma2[s, i]), "slice has rank greater than one")
+        elif gram_dev[s] > tol:
+            found = (0, float(gram_dev[s]), "assembled hidden matrix is not unitary")
+        else:
+            continue
+        return DecompositionResult(feasible=False, witness=DecompositionWitness(s + 1, *found))
+    err = np.abs(slices - u[..., None] * chi[..., None, :]).max()
     return DecompositionResult(
         feasible=True,
-        hidden=tuple(hidden_out),
-        emission=tuple(emission_out),
+        hidden=tuple(u),
+        emission=tuple(chi),
         translation_invariant=t.translation_invariant,
-        reconstruction_error=worst_err,
+        reconstruction_error=float(err),
     )

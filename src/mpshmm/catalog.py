@@ -212,8 +212,8 @@ def get(name: str, theta: float | Sequence[float] | None = None) -> CatalogEntry
     if theta is None:
         raise ValueError(f"{name} entry requires a {required} parameter")
     values = (float(theta),) if np.isscalar(theta) else tuple(float(x) for x in theta)
-    if not values:
-        raise ValueError(f"{required} parameter list is empty")
+    if not values or not all(map(math.isfinite, values)):
+        raise ValueError(f"{required} must be one or more finite values, got {theta!r}")
     return builder(name, values)
 
 

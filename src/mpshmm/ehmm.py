@@ -1,10 +1,10 @@
 """Entangled hidden Markov models and their finite-volume state vectors.
 
 A model is the triple (pi, U, chi): an initial distribution over m hidden
-states, per-site m-by-m hidden amplitude matrices U with unit-norm rows, and
-per-site m-by-d emission amplitude matrices chi with unit-norm rows.  Squared
-moduli of U and chi are the classical transition / emission matrices of the
-underlying hidden Markov chain.
+states and, per site, m-by-m hidden amplitudes U and m-by-d emission
+amplitudes chi with unit-norm rows, held as read-only (L, m, m) and (L, m, d)
+stacks over the L stored sites, so that per-site checks and factors such as
+|U|^2 (the classical transitions) are one array operation each.
 
 The joint state on n sites lives in H^(n+1) (x) K^n and has coefficients
 
@@ -19,10 +19,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
-from .linalg import ATOL, TensorVector, _read_only_copy, as_matrix, partial_inner_product
+from .linalg import ATOL, TensorVector, as_matrix, partial_inner_product
 
 DEFAULT_SIZE_CAP = 2**22
 ROW_NORM_TOL = 1e-10
@@ -48,26 +49,31 @@ class EhmmModel:
 
     ``hidden[l]`` and ``emission[l]`` describe site l+1 (sites are 1-based in
     formulas).  A translation-invariant model stores a single pair and serves
-    it for every site.  Construction copies the arrays, makes the copies
-    read-only and raises `ValueError` unless the model is valid, so every
-    model that exists is valid.
+    it for every site.  Construction copies U and chi into read-only (L, m, m)
+    and (L, m, d) stacks over the L stored sites, of which ``hidden`` and
+    ``emission`` are views, and raises `ValueError` unless the model is valid.
     """
 
     pi: np.ndarray
     hidden: tuple[np.ndarray, ...] = field(repr=False)
     emission: tuple[np.ndarray, ...] = field(repr=False)
     translation_invariant: bool = False
+    _hidden: np.ndarray = field(init=False, repr=False, compare=False)
+    _emission: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        pi = _read_only_copy(self.pi, np.float64).reshape(-1)
-        hidden = tuple(as_matrix(_read_only_copy(u)) for u in self.hidden)
-        emission = tuple(as_matrix(_read_only_copy(c)) for c in self.emission)
-        if not hidden or not emission:
+        pi = np.array(np.reshape(self.pi, -1), dtype=np.float64)
+        # tuple() copies an array given as a family into the stack rather than adopting it
+        hidden, emission = _as_family(tuple(self.hidden)), _as_family(tuple(self.emission))
+        if not len(hidden) or not len(emission):
             raise ValueError("model needs at least one site pair")
-        object.__setattr__(self, "pi", pi)
-        object.__setattr__(self, "hidden", hidden)
-        object.__setattr__(self, "emission", emission)
         require_valid(pi, hidden, emission, self.translation_invariant)
+        pi.flags.writeable = hidden.flags.writeable = emission.flags.writeable = False
+        object.__setattr__(self, "pi", pi)
+        object.__setattr__(self, "_hidden", hidden)
+        object.__setattr__(self, "_emission", emission)
+        object.__setattr__(self, "hidden", tuple(hidden))
+        object.__setattr__(self, "emission", tuple(emission))
 
     @property
     def m(self) -> int:
@@ -101,33 +107,45 @@ class Violation:
     magnitude: float
 
 
+def _as_family(mats: Sequence) -> np.ndarray | list[np.ndarray]:
+    """One matrix family as finite complex128 matrices: a sequence of one shape
+    stacked into a new (L, rows, cols) array, a 3-d array taken as such a stack,
+    and a family of mixed shapes, which no valid model has, left a list.
+    """
+    if not (isinstance(mats, np.ndarray) and mats.ndim == 3):
+        family = [np.asarray(a, dtype=np.complex128) for a in mats]
+        if len({a.shape for a in family}) != 1 or family[0].ndim != 2:
+            return [as_matrix(a) for a in family]
+        mats = np.array(family)
+    if not np.isfinite(mats).all():
+        raise ValueError("matrix entries must be finite")
+    return mats.astype(np.complex128, copy=False)
+
+
 def _row_violations(
-    kind: str, mats: tuple[np.ndarray, ...], shape: tuple[int, int]
+    kind: str, family: np.ndarray | list[np.ndarray], shape: tuple[int, int]
 ) -> list[Violation]:
     """Shape and unit-row-norm violations of one matrix family, in site order.
 
     The squared-modulus row sums of every matrix of the expected shape come
-    from one reduction over their rows stacked end to end.
+    from one reduction over their stack.
     """
-    fits = [a.shape == shape for a in mats]
+    fits = [a.shape == shape for a in family]
     sites = [idx for idx, fit in enumerate(fits, start=1) if fit]
+    stack = np.asarray(family) if all(fits) else np.array([family[s - 1] for s in sites])
+    sums = (np.abs(stack.reshape(-1, shape[1])) ** 2).sum(axis=1)
+    dev = np.abs(sums - 1.0)
     by_site: dict[int, list[Violation]] = {}
-    if sites:
-        sums = (np.abs(np.concatenate([mats[s - 1] for s in sites])) ** 2).sum(axis=1)
-        dev = np.abs(sums - 1.0)
-        for r in np.flatnonzero(dev > ROW_NORM_TOL):
-            site, row = sites[r // shape[0]], r % shape[0]
-            by_site.setdefault(site, []).append(
-                Violation(
-                    f"{kind}[{site}] row {row}", f"squared-modulus row sum = {sums[r]}", dev[r]
-                )
-            )
+    for r in np.flatnonzero(dev > ROW_NORM_TOL):
+        site, row = sites[r // shape[0]], r % shape[0]
+        by_site.setdefault(site, []).append(
+            Violation(f"{kind}[{site}] row {row}", f"squared-modulus row sum = {sums[r]}", dev[r])
+        )
     out: list[Violation] = []
-    for idx, (a, fit) in enumerate(zip(mats, fits), start=1):
-        if fit:
-            out += by_site.get(idx, [])
-        else:
+    for idx, (a, fit) in enumerate(zip(family, fits), start=1):
+        if not fit:
             out.append(Violation(f"{kind}[{idx}]", f"shape {a.shape} != {shape}", 0.0))
+        out += by_site.get(idx, [])
     return out
 
 
@@ -140,8 +158,7 @@ def validate(
     """Check every model invariant of the `EhmmModel` arguments; empty means valid."""
     out: list[Violation] = []
     pi = np.asarray(pi, dtype=np.float64).reshape(-1)
-    hidden = tuple(as_matrix(u) for u in hidden)
-    emission = tuple(as_matrix(c) for c in emission)
+    hidden, emission = _as_family(hidden), _as_family(emission)
     m, d = hidden[0].shape[0], emission[0].shape[1]
 
     if pi.size != m:
@@ -196,11 +213,16 @@ def require_valid(
         )
 
 
+def _first_non_unitary(stack: np.ndarray) -> int | None:
+    """1-based index of the first matrix of an (L, m, m) stack that is not unitary, or None."""
+    gram = stack.conj().transpose(0, 2, 1) @ stack
+    gaps = np.linalg.norm(gram - np.eye(stack.shape[-1]), axis=(1, 2))
+    return next((l for l, gap in enumerate(gaps, start=1) if gap > ATOL), None)
+
+
 def is_unitary(u: np.ndarray) -> bool:
     u = as_matrix(u)
-    if u.shape[0] != u.shape[1]:
-        return False
-    return float(np.linalg.norm(u.conj().T @ u - np.eye(u.shape[0]))) <= ATOL
+    return u.shape[0] == u.shape[1] and _first_non_unitary(u[None]) is None
 
 
 def _check_cap(

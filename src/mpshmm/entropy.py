@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bridge import tensors_from_ehmm
-from .ehmm import DEFAULT_SIZE_CAP, EhmmModel, _chain_step, _check_cap, is_unitary
+from .ehmm import DEFAULT_SIZE_CAP, EhmmModel, _chain_step, _check_cap, _first_non_unitary
 from .linalg import as_matrix, hermitian_eig
 from .mps import SiteTensorSet, _site_stacks, _word_sums, build_state
 
@@ -129,7 +129,7 @@ def observation_density_formula(
     # the pair family A_k o conj(A_k') over d*d symbols (k, k'), one word
     # of pairs per (word, word'), with the pair axes unzipped afterwards
     stacks = _site_stacks(
-        t, n_sites, lambda s: (s[:, None] * s.conj()[None]).reshape(-1, t.m, t.m)
+        t, n_sites, lambda s: (s[:, :, None] * s.conj()[:, None]).reshape(len(s), -1, t.m, t.m)
     )
     e_vec = np.ones((t.m, 1)) / math.sqrt(t.m)
     sums = _word_sums(stacks, pi[None], e_vec)
@@ -143,23 +143,24 @@ def _hidden_chain_density(model: EhmmModel, n_sites: int, size_cap: int) -> np.n
 
     sigma[w, w'] = sum_{i_1..i_{N+1}} pi[i_1] prod_l |U_l[i_l, i_{l+1}]|^2
     chi_l[i_l, k_l] conj(chi_l[i_l, k'_l]), the joint state's partial trace
-    over its hidden factors.  Each site is one `_chain_step` over the pair
-    alphabet (k, k'), carrying an (m, d^l * d^l) array; the last site sums
-    i_{N+1} through the computed row sums of |U_N|^2.  The pair axes are
-    unzipped to (word, word') at the end.
+    over its hidden factors.  |U_l|^2 and the pair factors chi_l (x)
+    conj(chi_l) of every stored site come from one operation each on the
+    model's stacks.  Each site is one `_chain_step` over the pair alphabet
+    (k, k'), carrying an (m, d^l * d^l) array; the last site sums i_{N+1}
+    through the row sums of |U_N|^2.  The pair axes are unzipped at the end.
     """
     m, d = model.m, model.d
     _check_cap(size_cap, (d, 2 * n_sites))
     _check_cap(size_cap, (m, 1), (d, 2 * n_sites), what="observation-density recursion")
     n_words = d**n_sites
+    chi = model._emission
+    pairs = (chi[..., None] * chi.conj()[:, :, None]).reshape(len(chi), m, d * d)  # [l, i, (k, k')]
+    trans = np.abs(model._hidden) ** 2
     x = model.pi.astype(np.complex128).reshape(1, m, 1)
     for l in range(1, n_sites + 1):
-        chi = model.emission_at(l)
-        pair = (chi[:, :, None] * chi.conj()[:, None, :]).reshape(m, d * d)
-        trans = np.abs(model.hidden_at(l)) ** 2
-        if l == n_sites:
-            trans = trans.sum(axis=1, keepdims=True)
-        x = _chain_step(x, trans, pair, sum_hidden=True)
+        slot = model._site_slot(l)
+        t_l = trans[slot] if l < n_sites else trans[slot].sum(axis=1, keepdims=True)
+        x = _chain_step(x, t_l, pairs[slot], sum_hidden=True)
     # x runs over pair words (k1 k1')..(kN kN'); unzip them to (word, word')
     order = [*range(0, 2 * n_sites, 2), *range(1, 2 * n_sites, 2)]
     return x.reshape((d,) * (2 * n_sites)).transpose(order).reshape(n_words, n_words)
@@ -336,10 +337,12 @@ def check_bound(
     for (1/m)|psi><psi| with trace t = |psi|^2 / m, follow exactly as
     t * S + t ln t, because the rule is scale-invariant.
     """
-    t = tensors_from_ehmm(model, require_unitary=False)
-    hidden_unitary = all(is_unitary(u) for u in model.hidden)
-    psi = build_state(t, n_sites, size_cap).entries
+    # an oversized state is refused as such; then sigma, whose recursion peaks holding nothing else
+    _check_cap(size_cap, (model.d, n_sites))
     sigma = _hidden_chain_density(model, n_sites, size_cap)
+    t = tensors_from_ehmm(model, require_unitary=False)
+    hidden_unitary = _first_non_unitary(model._hidden) is None
+    psi = build_state(t, n_sites, size_cap).entries
 
     spec = hermitian_eig(sigma)
     _require_psd(spec.eigenvalues.min())

@@ -38,13 +38,6 @@ def as_matrix(a: np.ndarray | Sequence) -> np.ndarray:
     return m
 
 
-def _read_only_copy(a: np.ndarray | Sequence, dtype: type = np.complex128) -> np.ndarray:
-    """A fresh array of ``a`` that cannot be written to."""
-    out = np.array(a, dtype=dtype)
-    out.flags.writeable = False
-    return out
-
-
 @dataclass(frozen=True)
 class TensorVector:
     """Dense complex vector over a tensor-product basis.
@@ -154,8 +147,13 @@ def partial_trace(
 
 
 def hermitian_eig(a: np.ndarray) -> HermitianSpectrum:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues descending."""
+    """Eigendecomposition of a Hermitian matrix, eigenvalues descending.
+
+    An exactly real matrix takes the real symmetric `eigh`, about twice as fast.
+    """
     a = as_matrix(a)
+    if not a.imag.any():
+        a = a.real
     scale = max(1.0, float(np.linalg.norm(a)))
     if np.linalg.norm(a - a.conj().T) > ATOL * scale:
         raise ValueError("matrix is not Hermitian within tolerance")

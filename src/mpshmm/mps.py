@@ -1,9 +1,10 @@
 """Matrix product states with periodic boundary conditions.
 
 A state on N sites is defined by per-site families {A_k : k = 0..d-1} of
-m-by-m matrices; the coefficient of the word k1..kN is the trace of the
-ordered product A_{k1}^[1] ... A_{kN}^[N].  No normalization is applied:
-the raw trace coefficients are returned and the norm is reported separately.
+m-by-m matrices, held as one read-only (L, d, m, m) stack over the L stored
+sites; the coefficient of the word k1..kN is the trace of the ordered product
+A_{k1}^[1] ... A_{kN}^[N].  No normalization is applied: the raw trace
+coefficients are returned and the norm is reported separately.
 
 The dense state is evaluated for all words at once by a split-half
 contraction: the ordered products of the first and of the second half of the
@@ -21,7 +22,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .ehmm import DEFAULT_SIZE_CAP, _check_cap
-from .linalg import TensorVector, _read_only_copy, as_matrix
+from .linalg import TensorVector, as_matrix
 
 GAUGE_TOL = 1e-12
 
@@ -43,23 +44,24 @@ class SiteTensorSet:
 
     ``sites[l][k]`` is A_k at site l+1.  A translation-invariant set stores a
     single family and serves it for every site.  Construction copies the
-    matrices and makes the copies read-only.
+    matrices into one read-only (L, d, m, m) stack, of which they are views.
     """
 
     sites: tuple[tuple[np.ndarray, ...], ...] = field(repr=False)
     translation_invariant: bool = False
+    _stack: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        sites = tuple(
-            tuple(as_matrix(_read_only_copy(a)) for a in fam) for fam in self.sites
-        )
-        if not sites or not sites[0]:
+        sites = self.sites
+        if not isinstance(sites, np.ndarray):  # an (L, d, m, m) array needs no per-matrix pass
+            sites = [[np.asarray(a, dtype=np.complex128) for a in fam] for fam in sites]
+        if not len(sites) or not len(sites[0]):
             raise ValueError("tensor set needs at least one site with one symbol")
         if self.translation_invariant and len(sites) > 1:
             raise ValueError(
                 f"translation-invariant tensor set stores {len(sites)} sites, expected 1"
             )
-        m = sites[0][0].shape[0]
+        m = as_matrix(sites[0][0]).shape[0]
         d = len(sites[0])
         for l, fam in enumerate(sites, start=1):
             if len(fam) != d:
@@ -69,7 +71,12 @@ class SiteTensorSet:
                     raise ValueError(
                         f"site {l} symbol {k} has shape {a.shape}, expected ({m}, {m})"
                     )
-        object.__setattr__(self, "sites", sites)
+        stack = np.array(sites, dtype=np.complex128)
+        if not np.isfinite(stack).all():
+            raise ValueError("matrix entries must be finite")
+        stack.flags.writeable = False
+        object.__setattr__(self, "_stack", stack)
+        object.__setattr__(self, "sites", tuple(tuple(fam) for fam in self._stack))
 
     @property
     def m(self) -> int:
@@ -119,12 +126,9 @@ class GaugeReport:
 
 def gauge_check(t: SiteTensorSet) -> GaugeReport:
     """Measure the gauge condition sum_k A_k A_k^dag = I at every stored site."""
-    eye = np.eye(t.m)
-    devs = []
-    for fam in t.sites:
-        acc = sum(a @ a.conj().T for a in fam)
-        devs.append(float(np.linalg.norm(acc - eye)))
-    return GaugeReport(tuple(devs), GAUGE_TOL)
+    acc = (t._stack @ t._stack.conj().transpose(0, 1, 3, 2)).sum(axis=1)
+    devs = np.linalg.norm(acc - np.eye(t.m), axis=(1, 2))
+    return GaugeReport(tuple(map(float, devs)), GAUGE_TOL)
 
 
 class VerificationError(ValueError):
@@ -161,17 +165,17 @@ def _site_stacks(
     t: SiteTensorSet,
     n_sites: int,
     transform: Callable[[np.ndarray], np.ndarray] | None = None,
-) -> list[np.ndarray]:
-    """(d, m, m) symbol stacks for sites 1..N, optionally mapped by ``transform``.
+) -> Sequence[np.ndarray]:
+    """(d, m, m) symbol stacks of sites 1..N, optionally mapped by ``transform``.
 
-    A translation-invariant set is stacked (and transformed) once, and the
-    one array serves every site.
+    ``transform`` maps an (L, d, m, m) stack to an (L, d', m, m) one.  A
+    translation-invariant set is transformed once, and its one family serves
+    every site.
     """
-    stored = t.sites[:1] if t.translation_invariant else t.sites[:n_sites]
-    stacks = [np.stack(fam) for fam in stored]
+    stored = t._stack[:n_sites]
     if transform is not None:
-        stacks = [transform(s) for s in stacks]
-    return stacks * n_sites if t.translation_invariant else stacks
+        stored = transform(stored)
+    return [stored[0]] * n_sites if t.translation_invariant else stored
 
 
 def _word_sums(

@@ -356,6 +356,50 @@ def test_sitewise_measurement_is_independent_of_other_routes(monkeypatch):
 # ---- classical extraction ----
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    m=st.integers(1, 3),
+    d=st.integers(1, 3),
+    sites=st.integers(1, 4),
+    shared=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_extraction_of_model_tensors_gives_moduli_property(m, d, sites, shared, seed):
+    model = _random_unitary_model(m, d, sites, shared, seed)
+    extracted = extract_classical_hmm(tensors_from_ehmm(model))
+    pairs = zip(extracted.transitions + extracted.emissions, model.hidden + model.emission)
+    for got, amplitudes in pairs:
+        assert np.max(np.abs(got - np.abs(amplitudes) ** 2)) <= 1e-12
+        assert np.max(np.abs(got.sum(axis=1) - 1.0)) <= 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    m=st.integers(1, 3),
+    d=st.integers(1, 3),
+    sites=st.integers(1, 4),
+    shared=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_decomposition_of_model_tensors_rebuilds_them_property(m, d, sites, shared, seed):
+    t = tensors_from_ehmm(_random_unitary_model(m, d, sites, shared, seed))
+    result = decompose_tensors(t)
+    assert result.feasible
+    rebuilt = tensors_from_ehmm(result.model())
+    assert rebuilt.translation_invariant == t.translation_invariant
+    for fam_a, fam_b in zip(t.sites, rebuilt.sites, strict=True):
+        for a, b in zip(fam_a, fam_b, strict=True):
+            assert np.max(np.abs(a - b)) <= 1e-10
+
+
+def _random_unitary_model(m, d, sites, shared, seed):
+    """A seeded random model with unitary U, site-dependent or translation-invariant."""
+    model = catalog.random_model(m, d, sites, seed)
+    if not shared:
+        return model
+    return EhmmModel(model.pi, model.hidden[:1], model.emission[:1], translation_invariant=True)
+
+
 def test_extract_aklt():
     ex = extract_classical_hmm(catalog.get("aklt").tensors)
     assert np.allclose(ex.transitions[0], np.array([[1, 2], [2, 1]]) / 3, atol=1e-15)

@@ -60,6 +60,16 @@ def test_theta_requires_parameter():
         catalog.get("theta")
 
 
+@pytest.mark.parametrize(
+    "theta, shown",
+    [(math.inf, "inf"), (math.nan, "nan"), ([0.5, math.nan], "[0.5, nan]"), ((0.5, -math.inf), "(0.5, -inf)")],
+)
+def test_theta_must_be_finite(theta, shown):
+    with pytest.raises(ValueError) as info:
+        catalog.get("theta", theta=theta)
+    assert str(info.value) == f"theta must be one or more finite values, got {shown}"
+
+
 def test_unknown_name():
     with pytest.raises(KeyError):
         catalog.get("w-state")

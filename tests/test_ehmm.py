@@ -186,6 +186,41 @@ def test_stored_arrays_are_read_only_copies(kind):
         assert np.array_equal(a, b)
 
 
+def test_families_are_tuples_of_views_into_one_stack():
+    src = catalog.random_model(2, 3, 3, 42)
+    # families handed over as one array are copied too, not adopted
+    hidden, emission = np.array(src.hidden), np.array(src.emission)
+    model = EhmmModel(src.pi, hidden, emission)
+    tensors = np.array(tensors_from_ehmm(model).sites)
+    t = SiteTensorSet(tensors)
+    families = [model.hidden, model.emission, *t.sites]
+    assert all(type(f) is tuple and len(f) == 3 for f in families)  # L = d = 3
+    assert len(model.hidden + model.emission) == 6
+    for family in (model.hidden, model.emission, [a for fam in t.sites for a in fam]):
+        bases = {id(a.base) for a in family}
+        assert len(bases) == 1 and family[0].base is not None
+        assert not family[0].base.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            family[-1][0, 0] = 1.0
+    stored = model.hidden + model.emission + t.sites[0]
+    before = [a.copy() for a in stored]
+    hidden[...] = emission[...] = tensors[...] = 0.0
+    assert all(np.array_equal(a, b) for a, b in zip(stored, before, strict=True))
+
+
+@pytest.mark.parametrize(
+    "sites, message",
+    [
+        (((EYE2, EYE2), (EYE2,)), "site 2 has 1 symbols, expected 2"),
+        (((EYE2, EYE2), (EYE2, np.eye(3))), "site 2 symbol 1 has shape (3, 3), expected (2, 2)"),
+    ],
+)
+def test_tensor_set_mixed_shapes_raise_one_line(sites, message):
+    with pytest.raises(ValueError) as info:
+        SiteTensorSet(sites)
+    assert str(info.value) == message
+
+
 def test_no_builder_validates_again(monkeypatch):
     models = [catalog.random_model(2, 2, 4, 41), catalog.get("ghz").model]
 

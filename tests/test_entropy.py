@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from mpshmm import catalog, entropy
 from mpshmm.bridge import tensors_from_ehmm
-from mpshmm.ehmm import EhmmModel, build_psi_hon
+from mpshmm.ehmm import DEFAULT_SIZE_CAP, EhmmModel, build_psi_hon
 from mpshmm.entropy import (
     BOUND_SLACK,
     DensityMatrix,
@@ -20,7 +20,7 @@ from mpshmm.entropy import (
     observation_density_trace,
     relative_entropy,
 )
-from mpshmm.linalg import partial_trace
+from mpshmm.linalg import HermitianSpectrum, partial_trace
 from mpshmm.mps import SiteTensorSet, build_state, coefficient
 from test_mps import random_site_tensors
 
@@ -408,6 +408,48 @@ def test_size_cap_counts_observation_density_recursion():
         with pytest.raises(ValueError, match="recursion of 1458 entries exceeds size cap"):
             refuse()
     assert check_bound(model, 3, size_cap=1458).holds
+
+
+def _complex_eig(a):
+    """The complex `eigh` route, whatever the imaginary part."""
+    vals, vecs = np.linalg.eigh(np.asarray(a, dtype=np.complex128))
+    return HermitianSpectrum(vals[::-1].copy(), vecs[:, ::-1].copy())
+
+
+REAL_SIGMA_MODELS = [
+    ("ghz", None),
+    ("cluster", None),
+    ("aklt-derived", None),
+    ("theta", math.pi / 6),
+    ("theta", math.pi / 4),
+    ("theta", math.pi / 3),
+]
+
+
+@pytest.mark.parametrize("name, theta", REAL_SIGMA_MODELS)
+def test_exactly_real_sigma_takes_real_eigh_and_matches_complex_route(name, theta, monkeypatch):
+    model = catalog.get(name, theta=theta).model
+    eigh = np.linalg.eigh
+    checked = 0
+    for n in range(1, 9):
+        if model.m * model.d ** (2 * n) > DEFAULT_SIZE_CAP:  # the recursion's cap
+            break
+        dtypes = []
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "eigh", lambda a: dtypes.append(a.dtype) or eigh(a))
+            real = check_bound(model, n)
+        assert dtypes == [np.float64]
+        with monkeypatch.context() as patch:
+            patch.setattr(entropy, "hermitian_eig", _complex_eig)
+            ref = check_bound(model, n)
+        for field in ("s_value", "s_diag", "rhs_value", "s_value_normalized", "s_diag_normalized",
+                      "rhs_value_normalized"):
+            a, b = getattr(real, field), getattr(ref, field)
+            assert math.isinf(a) == math.isinf(b), (field, n)
+            assert a == b or abs(a - b) <= 1e-12, (field, n)
+        assert (real.holds, real.holds_normalized) == (ref.holds, ref.holds_normalized)
+        checked += 1
+    assert checked == (6 if name == "aklt-derived" else 8)
 
 
 def test_check_bound_ghz_beyond_joint_outer_product_reach():

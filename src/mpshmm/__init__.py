@@ -4,7 +4,6 @@ tensor-factorization feasibility, and the relative-entropy lower bound."""
 
 from .linalg import (
     TensorVector,
-    HermitianSpectrum,
     partial_inner_product,
     partial_trace,
     hermitian_eig,
@@ -42,7 +41,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "TensorVector",
-    "HermitianSpectrum",
     "partial_inner_product",
     "partial_trace",
     "hermitian_eig",

@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ehmm import DEFAULT_SIZE_CAP, EhmmModel, _chain_step, _check_cap, _first_non_unitary
+from .ehmm import DEFAULT_SIZE_CAP, EhmmModel, _chain_step, _check_cap
+from .ehmm import _first_non_unitary, _over_sites
 from .linalg import TensorVector
 from .mps import SiteTensorSet, require_gauge
 
@@ -117,6 +118,7 @@ def build_e_vector(
     The middle hidden indices i_2..i_N are unconstrained.  For n = N the
     product is empty and only the weight and the delta remain.
     """
+    u, chi = model.site_stacks(n)
     _check_boundary_args(model, n_keep, n)
     m, d = model.m, model.d
     _check_cap(size_cap, (m, n + 1), (d, n - n_keep))
@@ -124,8 +126,8 @@ def build_e_vector(
     # tail over (i_{N+1}, ..., i_{n+1}, k_{N+1}, ..., k_n)
     n_tail = n - n_keep
     tail = np.ones((1, m, 1), dtype=np.complex128)
-    for l in range(n_keep + 1, n + 1):
-        tail = _chain_step(tail, model.hidden_at(l), model.emission_at(l))
+    for u_l, chi_l in zip(u[n_keep:], chi[n_keep:]):
+        tail = _chain_step(tail, u_l, chi_l)
     tail_dims = (m,) * (n_tail + 1) + (d,) * n_tail
 
     inv_sqrt_pi = 1.0 / np.sqrt(model.pi)
@@ -152,23 +154,27 @@ def observed_mps(
     matrix T_l = |U_l|^2 * (sum_k |chi_l[:,k]|^2)[:, None]; these fold right
     to left, from ones at i_{n+1}, into an m-vector r over i_{N+1}.  The kept
     sites 1..N grow a block X[i1, word, i] from the identity, one matrix
-    product per site against chi_l[i,k] U_l[i,j], with words in C order.  The
-    e-vector weight sqrt(pi[i1]) conj(1/sqrt(pi[i1])), the periodic delta
-    i_{N+1} = i1 and r close the chain.  The size cap bounds both X, the
-    largest array formed, with m^2 d^N entries, and the n-N trailing sites
-    folded one Python step each, so the work stays bounded for any n.
+    product per site against chi_l[i,k] U_l[i,j] (an m x dm matrix made once
+    per stored site), with words in C order.  The e-vector weight
+    sqrt(pi[i1]) conj(1/sqrt(pi[i1])), the periodic delta i_{N+1} = i1 and
+    r close the chain.  The size cap bounds both X, the largest array
+    formed, with m^2 d^N entries, and the n-N trailing sites folded one
+    Python step each, so the work stays bounded for any n.
     """
-    _check_boundary_args(model, n_keep, n)
     m, d = model.m, model.d
+    u, chi = model._hidden, model._emission
+    steps = (chi[..., None] * u[:, :, None, :]).reshape(len(u), m, d * m)
+    steps = _over_sites(steps, model.translation_invariant, n)
+    _check_boundary_args(model, n_keep, n)
     _check_cap(size_cap, (m, 2), (d, n_keep))
     if n - n_keep > size_cap:
         raise ValueError(f"{n - n_keep} trailing sites exceed size cap {size_cap}")
 
     r = _trailing_fold(model, n_keep, n)
     x = np.eye(m, dtype=np.complex128)
-    for l in range(1, n_keep + 1):
-        step = model.emission_at(l)[:, :, None] * model.hidden_at(l)[:, None, :]
-        x = x.reshape(-1, m) @ step.reshape(m, d * m)
+    for step in steps[:n_keep]:
+        x = x.reshape(-1, m) @ step
+    del steps, step  # freed before the read-out below, where the call peaks
 
     sqrt_pi = np.sqrt(model.pi)
     weight = sqrt_pi * np.conj(1.0 / sqrt_pi) * r
@@ -184,8 +190,8 @@ def _trailing_fold(model: EhmmModel, n_keep: int, n: int) -> np.ndarray:
     u, chi = model._hidden, model._emission
     trans = (u.conj() * u) * (chi.conj() * chi).sum(axis=2)[..., None]
     r = np.ones(model.m, dtype=np.complex128)
-    for l in range(n, n_keep, -1):
-        r = trans[model._site_slot(l)] @ r
+    for t_l in reversed(_over_sites(trans, model.translation_invariant, n)[n_keep:]):
+        r = t_l @ r
     return r
 
 
@@ -228,29 +234,31 @@ def decompose_tensors(t: SiteTensorSet, tol: float = DECOMPOSE_TOL) -> Decomposi
     nonzero entry is nonnegative real), U row i the left factor.  Feasible
     only if every slice passes and the assembled U is unitary within `tol`.
     Callers are expected to hand in gauge-satisfying tensors.  A negative or
-    non-finite `tol` raises `ValueError`: every `> tol` test is false for nan.
+    non-finite `tol` raises `ValueError`.  A slice or U passes only when its
+    deviation is `<= tol`, so the nan of an overflowing product fails.
     """
     if not (np.isfinite(tol) and tol >= 0.0):
         raise ValueError(f"tol must be finite and non-negative, got {tol!r}")
     slices = t._stack.transpose(0, 2, 3, 1)  # slices[s, i][j, k] = a[k][i, j], each m x d
-    left, sing, right_h = np.linalg.svd(slices)
-    sigma2 = sing[..., 1] if sing.shape[-1] > 1 else np.zeros(sing.shape[:-1])
-    zero = np.linalg.norm(slices, axis=(2, 3)) <= tol
-    slice_bad = zero | (sigma2 > tol * sing[..., 0])
-    # a right singular vector has unit norm, so some entry lies above the 1e-12 floor
-    chi = right_h[..., 0, :]
-    first = np.take_along_axis(chi, (np.abs(chi) > 1e-12).argmax(-1)[..., None], -1)
-    phase = first.conj() / np.abs(first)
-    chi = chi * phase
-    u = sing[..., :1] * left[..., 0] * np.conj(phase)
-    gram_dev = np.linalg.norm(u.conj().transpose(0, 2, 1) @ u - np.eye(t.m), axis=(1, 2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        left, sing, right_h = np.linalg.svd(slices)
+        sigma2 = sing[..., 1] if sing.shape[-1] > 1 else np.zeros(sing.shape[:-1])
+        zero = np.linalg.norm(slices, axis=(2, 3)) <= tol
+        slice_bad = zero | ~(sigma2 <= tol * sing[..., 0])
+        # a right singular vector has unit norm, so some entry lies above the 1e-12 floor
+        chi = right_h[..., 0, :]
+        first = np.take_along_axis(chi, (np.abs(chi) > 1e-12).argmax(-1)[..., None], -1)
+        phase = first.conj() / np.abs(first)
+        chi = chi * phase
+        u = sing[..., :1] * left[..., 0] * np.conj(phase)
+        gram_dev = np.linalg.norm(u.conj().transpose(0, 2, 1) @ u - np.eye(t.m), axis=(1, 2))
     for s in range(len(slices)):  # the first failing site; its slices before its U
         i = int(slice_bad[s].argmax())
         if zero[s, i]:
             found = (i + 1, 0.0, "zero emission row")
         elif slice_bad[s, i]:
             found = (i + 1, float(sigma2[s, i]), "slice has rank greater than one")
-        elif gram_dev[s] > tol:
+        elif not gram_dev[s] <= tol:
             found = (0, float(gram_dev[s]), "assembled hidden matrix is not unitary")
         else:
             continue

@@ -6,6 +6,11 @@ amplitudes chi with unit-norm rows, held as read-only (L, m, m) and (L, m, d)
 stacks over the L stored sites, so that per-site checks and factors such as
 |U|^2 (the classical transitions) are one array operation each.
 
+Every route in the package takes sites 1..n of a stack from one rule,
+`_over_sites`: a translation-invariant stack (L = 1) serves any n >= 1 as a
+broadcast view, a site-dependent one 1 <= n <= L, and any other n raises one
+message.  A per-site factor is computed on the stored stack, then spread.
+
 The joint state on n sites lives in H^(n+1) (x) K^n and has coefficients
 
     sqrt(pi[i1]) * U[1][i1,i2] * ... * U[n][i_n,i_{n+1}]
@@ -83,21 +88,25 @@ class EhmmModel:
     def d(self) -> int:
         return self.emission[0].shape[1]
 
-    def hidden_at(self, site: int) -> np.ndarray:
-        """Hidden amplitude matrix U at 1-based site index."""
-        return self.hidden[self._site_slot(site)]
+    def site_stacks(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """(n, m, m) hidden and (n, m, d) emission stacks of sites 1..n, by `_over_sites`."""
+        ti = self.translation_invariant
+        return _over_sites(self._hidden, ti, n), _over_sites(self._emission, ti, n)
 
-    def emission_at(self, site: int) -> np.ndarray:
-        return self.emission[self._site_slot(site)]
 
-    def _site_slot(self, site: int) -> int:
-        if site < 1:
-            raise ValueError(f"site index {site} must be >= 1")
-        if self.translation_invariant:
-            return 0
-        if site > len(self.hidden):
-            raise ValueError(f"site {site} exceeds {len(self.hidden)} stored sites")
-        return site - 1
+def _over_sites(stack: np.ndarray, translation_invariant: bool, n: int) -> np.ndarray:
+    """Sites 1..n of a stack over the stored sites: the one site rule.
+
+    A translation-invariant stack holds one site, broadcast to n sites as a
+    read-only view without a copy; a site-dependent one serves its first n.
+    A per-site factor is computed on the stored stack, then spread by this rule.
+    """
+    if n < 1 or not (translation_invariant or n <= len(stack)):
+        serves = "any count >= 1" if translation_invariant else f"counts 1..{len(stack)}"
+        raise ValueError(f"site count {n} is below 1 or exceeds the stored sites ({serves})")
+    if translation_invariant:
+        return np.broadcast_to(stack, (n, *stack.shape[1:]))
+    return stack[:n]
 
 
 @dataclass(frozen=True)
@@ -128,12 +137,14 @@ def _row_violations(
     """Shape and unit-row-norm violations of one matrix family, in site order.
 
     The squared-modulus row sums of every matrix of the expected shape come
-    from one reduction over their stack.
+    from one reduction over their stack.  An entry too large to square gives
+    an infinite sum, which is a violation, not a warning.
     """
     fits = [a.shape == shape for a in family]
     sites = [idx for idx, fit in enumerate(fits, start=1) if fit]
     stack = np.asarray(family) if all(fits) else np.array([family[s - 1] for s in sites])
-    sums = (np.abs(stack.reshape(-1, shape[1])) ** 2).sum(axis=1)
+    with np.errstate(over="ignore"):
+        sums = (np.abs(stack.reshape(-1, shape[1])) ** 2).sum(axis=1)
     dev = np.abs(sums - 1.0)
     by_site: dict[int, list[Violation]] = {}
     for r in np.flatnonzero(dev > ROW_NORM_TOL):
@@ -271,13 +282,12 @@ def build_psi_hon(
 
     Factors: n+1 hidden (dimension m) followed by n observation (dimension d).
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    u, chi = model.site_stacks(n)
     m, d = model.m, model.d
     _check_cap(size_cap, (m, n + 1), (d, n))
     x = np.sqrt(model.pi.astype(np.complex128)).reshape(1, m, 1)
-    for l in range(1, n + 1):
-        x = _chain_step(x, model.hidden_at(l), model.emission_at(l))
+    for u_l, chi_l in zip(u, chi):
+        x = _chain_step(x, u_l, chi_l)
     return TensorVector((m,) * (n + 1) + (d,) * n, x.reshape(-1))
 
 
@@ -285,14 +295,13 @@ def build_psi_hn(
     model: EhmmModel, n: int, size_cap: int = DEFAULT_SIZE_CAP
 ) -> TensorVector:
     """Hidden Markov chain state on n+1 hidden factors; a unit vector."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    u, _ = model.site_stacks(n)
     m = model.m
     _check_cap(size_cap, (m, n + 1))
     x = np.sqrt(model.pi.astype(np.complex128)).reshape(1, m, 1)
     no_emission = np.ones((m, 1))
-    for l in range(1, n + 1):
-        x = _chain_step(x, model.hidden_at(l), no_emission)
+    for u_l in u:
+        x = _chain_step(x, u_l, no_emission)
     return TensorVector((m,) * (n + 1), x.reshape(-1))
 
 
@@ -311,15 +320,14 @@ def build_psi_on(
     This is the site numbering the partial-inner-product route
     (`observation_from_joint`) gives, also for site-dependent models.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _, chi = model.site_stacks(n)
+    trans = _over_sites(np.abs(model._hidden) ** 2, model.translation_invariant, n)
     m, d = model.m, model.d
     _check_cap(size_cap, (d, n))
     x = model.pi.astype(np.complex128).reshape(1, m, 1)
-    for l in range(1, n + 1):
-        # the last site has no transition; summing i_n is a column of ones
-        trans = np.abs(model.hidden_at(l)) ** 2 if l < n else np.ones((m, 1))
-        x = _chain_step(x, trans, model.emission_at(l), sum_hidden=True)
+    # the last site has no transition; summing i_n is a column of ones
+    for trans_l, chi_l in zip([*trans[:-1], np.ones((m, 1))], chi):
+        x = _chain_step(x, trans_l, chi_l, sum_hidden=True)
     return TensorVector((d,) * n, x.reshape(-1))
 
 

@@ -33,9 +33,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bridge import tensors_from_ehmm
-from .ehmm import DEFAULT_SIZE_CAP, EhmmModel, _chain_step, _check_cap, _first_non_unitary
+from .ehmm import DEFAULT_SIZE_CAP, EhmmModel, _chain_step, _check_cap
+from .ehmm import _first_non_unitary, _over_sites
 from .linalg import as_matrix, hermitian_eig
-from .mps import SiteTensorSet, _site_stacks, _word_sums, build_state
+from .mps import SiteTensorSet, _word_sums, build_state
 
 BOUND_SLACK = 1e-8
 HERMITIAN_TOL = 1e-10
@@ -119,18 +120,13 @@ def observation_density_formula(
     pi = np.asarray(pi, dtype=np.float64).reshape(-1)
     if pi.size != t.m:
         raise ValueError(f"pi has length {pi.size}, expected {t.m}")
-    if n_sites < 1:
-        raise ValueError("n_sites must be >= 1")
-    _check_cap(size_cap, (t.d, 2 * n_sites))
-    n_words = t.d**n_sites
-    if not t.compatible_length(n_sites):
-        raise ValueError(f"{n_sites} sites exceed {len(t.sites)} stored sites")
-
     # the pair family A_k o conj(A_k') over d*d symbols (k, k'), one word
     # of pairs per (word, word'), with the pair axes unzipped afterwards
-    stacks = _site_stacks(
-        t, n_sites, lambda s: (s[:, :, None] * s.conj()[:, None]).reshape(len(s), -1, t.m, t.m)
-    )
+    a = t._stack
+    pairs = (a[:, :, None] * a.conj()[:, None]).reshape(len(a), -1, t.m, t.m)
+    stacks = _over_sites(pairs, t.translation_invariant, n_sites)
+    _check_cap(size_cap, (t.d, 2 * n_sites))
+    n_words = t.d**n_sites
     e_vec = np.ones((t.m, 1)) / math.sqrt(t.m)
     sums = _word_sums(stacks, pi[None], e_vec)
     order = [*range(0, 2 * n_sites, 2), *range(1, 2 * n_sites, 2)]
@@ -150,17 +146,17 @@ def _hidden_chain_density(model: EhmmModel, n_sites: int, size_cap: int) -> np.n
     through the row sums of |U_N|^2.  The pair axes are unzipped at the end.
     """
     m, d = model.m, model.d
+    chi = model._emission
+    pairs = (chi[..., None] * chi.conj()[:, :, None]).reshape(len(chi), m, d * d)  # [l, i, (k, k')]
+    pairs = _over_sites(pairs, model.translation_invariant, n_sites)
+    trans = _over_sites(np.abs(model._hidden) ** 2, model.translation_invariant, n_sites)
     _check_cap(size_cap, (d, 2 * n_sites))
     _check_cap(size_cap, (m, 1), (d, 2 * n_sites), what="observation-density recursion")
     n_words = d**n_sites
-    chi = model._emission
-    pairs = (chi[..., None] * chi.conj()[:, :, None]).reshape(len(chi), m, d * d)  # [l, i, (k, k')]
-    trans = np.abs(model._hidden) ** 2
     x = model.pi.astype(np.complex128).reshape(1, m, 1)
-    for l in range(1, n_sites + 1):
-        slot = model._site_slot(l)
-        t_l = trans[slot] if l < n_sites else trans[slot].sum(axis=1, keepdims=True)
-        x = _chain_step(x, t_l, pairs[slot], sum_hidden=True)
+    last = trans[-1].sum(axis=1, keepdims=True)
+    for trans_l, pairs_l in zip([*trans[:-1], last], pairs):
+        x = _chain_step(x, trans_l, pairs_l, sum_hidden=True)
     # x runs over pair words (k1 k1')..(kN kN'); unzip them to (word, word')
     order = [*range(0, 2 * n_sites, 2), *range(1, 2 * n_sites, 2)]
     return x.reshape((d,) * (2 * n_sites)).transpose(order).reshape(n_words, n_words)
@@ -237,11 +233,11 @@ def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     s = sigma.matrix if isinstance(sigma, DensityMatrix) else as_matrix(sigma)
     if r.shape != s.shape:
         raise ValueError(f"shape mismatch {r.shape} vs {s.shape}")
-    spec_r = hermitian_eig(r)
-    spec_s = hermitian_eig(s)
-    _require_psd(min(spec_r.eigenvalues.min(), spec_s.eigenvalues.min()))
-    overlap = np.abs(spec_r.eigenvectors.conj().T @ spec_s.eigenvectors) ** 2
-    return _divergence(spec_r.eigenvalues, spec_s.eigenvalues, overlap)
+    vals_r, vecs_r = hermitian_eig(r)
+    vals_s, vecs_s = hermitian_eig(s)
+    _require_psd(min(vals_r.min(), vals_s.min()))
+    overlap = np.abs(vecs_r.conj().T @ vecs_s) ** 2
+    return _divergence(vals_r, vals_s, overlap)
 
 
 def _word_weights(
@@ -257,8 +253,8 @@ def _word_weights(
     p = np.abs(psi)
     p **= 2
     p /= t.m
-    stacks = _site_stacks(t, n_sites, lambda s: s.real**2 + s.imag**2)
-    q = _word_sums(stacks, pi[None], np.ones((t.m, 1)))
+    squares = _over_sites(t._stack.real**2 + t._stack.imag**2, t.translation_invariant, n_sites)
+    q = _word_sums(squares, pi[None], np.ones((t.m, 1)))
     return p, q
 
 
@@ -344,8 +340,8 @@ def check_bound(
     hidden_unitary = _first_non_unitary(model._hidden) is None
     psi = build_state(t, n_sites, size_cap).entries
 
-    spec = hermitian_eig(sigma)
-    _require_psd(spec.eigenvalues.min())
+    vals, vecs = hermitian_eig(sigma)
+    _require_psd(vals.min())
     p, q_formula = _word_weights(t, model.pi, n_sites, psi)
     trace_rho = float(p.sum())
     if trace_rho <= 0.0:
@@ -353,9 +349,9 @@ def check_bound(
     p /= trace_rho
     q = np.diag(sigma).real
     v = psi / math.sqrt(trace_rho * t.m)
-    weights = np.abs(spec.eigenvectors.conj().T @ v) ** 2
+    weights = np.abs(vecs.conj().T @ v) ** 2
 
-    s_norm = _divergence(np.ones(1), spec.eigenvalues, weights[None])
+    s_norm = _divergence(np.ones(1), vals, weights[None])
     s_diag_norm = _divergence(p, q)
     rhs_norm = _divergence(p, q_formula)
     s_value, s_diag, rhs_value = (

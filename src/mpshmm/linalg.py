@@ -1,9 +1,8 @@
 """Dense complex linear-algebra kernel.
 
-Everything here operates on plain ``numpy`` arrays (``complex128``) plus two
-light containers: :class:`TensorVector` for vectors living on an explicit
-tensor-product factorization, and :class:`HermitianSpectrum` for
-eigendecompositions.  Basis ordering is lexicographic with the leftmost
+Everything here operates on plain ``numpy`` arrays (``complex128``) plus one
+light container, :class:`TensorVector`, for vectors living on an explicit
+tensor-product factorization.  Basis ordering is lexicographic with the leftmost
 factor most significant (C order), consistently across the whole package.
 """
 
@@ -20,7 +19,6 @@ ATOL = 1e-10
 __all__ = [
     "ATOL",
     "TensorVector",
-    "HermitianSpectrum",
     "as_matrix",
     "partial_inner_product",
     "partial_trace",
@@ -90,14 +88,6 @@ class TensorVector:
         return TensorVector(tuple(self.factor_dims[i] for i in order), t.reshape(-1))
 
 
-@dataclass(frozen=True)
-class HermitianSpectrum:
-    """Eigenvalues (real, descending) and orthonormal eigenvector columns."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
 def partial_inner_product(
     w: TensorVector, u0: TensorVector, prefix_count: int
 ) -> TensorVector:
@@ -146,8 +136,9 @@ def partial_trace(
     return t.reshape(kept_dim, kept_dim)
 
 
-def hermitian_eig(a: np.ndarray) -> HermitianSpectrum:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues descending.
+def hermitian_eig(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(eigenvalues, eigenvectors) of a Hermitian matrix: real eigenvalues
+    descending, and the orthonormal eigenvectors as matching columns.
 
     An exactly real matrix takes the real symmetric `eigh`, about twice as fast.
     """
@@ -158,4 +149,4 @@ def hermitian_eig(a: np.ndarray) -> HermitianSpectrum:
     if np.linalg.norm(a - a.conj().T) > ATOL * scale:
         raise ValueError("matrix is not Hermitian within tolerance")
     vals, vecs = np.linalg.eigh(a)
-    return HermitianSpectrum(vals[::-1].copy(), vecs[:, ::-1].copy())
+    return vals[::-1].copy(), vecs[:, ::-1].copy()

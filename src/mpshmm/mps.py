@@ -6,6 +6,9 @@ sites; the coefficient of the word k1..kN is the trace of the ordered product
 A_{k1}^[1] ... A_{kN}^[N].  No normalization is applied: the raw trace
 coefficients are returned and the norm is reported separately.
 
+Every route takes sites 1..N from the site rule of `ehmm._over_sites`: a
+translation-invariant set serves any N >= 1, a site-dependent one 1 <= N <= L.
+
 The dense state is evaluated for all words at once by a split-half
 contraction: the ordered products of the first and of the second half of the
 chain are built for every half-word, and one matrix product pairs them up.
@@ -17,11 +20,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .ehmm import DEFAULT_SIZE_CAP, _check_cap
+from .ehmm import DEFAULT_SIZE_CAP, _check_cap, _over_sites
 from .linalg import TensorVector, as_matrix
 
 GAUGE_TOL = 1e-12
@@ -90,18 +93,9 @@ class SiteTensorSet:
     def n_sites(self) -> int | None:
         return None if self.translation_invariant else len(self.sites)
 
-    def family_at(self, site: int) -> tuple[np.ndarray, ...]:
-        """Matrix family at 1-based site index."""
-        if site < 1:
-            raise ValueError(f"site index {site} must be >= 1")
-        if self.translation_invariant:
-            return self.sites[0]
-        if site > len(self.sites):
-            raise ValueError(f"site {site} exceeds {len(self.sites)} stored sites")
-        return self.sites[site - 1]
-
-    def compatible_length(self, n: int) -> bool:
-        return self.translation_invariant or n <= len(self.sites)
+    def site_stack(self, n: int) -> np.ndarray:
+        """(n, d, m, m) symbol stack of sites 1..n, by `ehmm._over_sites`."""
+        return _over_sites(self._stack, self.translation_invariant, n)
 
 
 @dataclass(frozen=True)
@@ -126,8 +120,9 @@ class GaugeReport:
 
 def gauge_check(t: SiteTensorSet) -> GaugeReport:
     """Measure the gauge condition sum_k A_k A_k^dag = I at every stored site."""
-    acc = (t._stack @ t._stack.conj().transpose(0, 1, 3, 2)).sum(axis=1)
-    devs = np.linalg.norm(acc - np.eye(t.m), axis=(1, 2))
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or nan fails `dev <= tol`
+        acc = (t._stack @ t._stack.conj().transpose(0, 1, 3, 2)).sum(axis=1)
+        devs = np.linalg.norm(acc - np.eye(t.m), axis=(1, 2))
     return GaugeReport(tuple(map(float, devs)), GAUGE_TOL)
 
 
@@ -147,43 +142,20 @@ def require_gauge(t: SiteTensorSet) -> None:
 
 def coefficient(t: SiteTensorSet, word: Sequence[int]) -> complex:
     """Trace of the ordered matrix product selected by the symbol word."""
-    n = len(word)
-    if n < 1:
-        raise ValueError("word must be nonempty")
-    if not t.compatible_length(n):
-        raise ValueError(f"word length {n} exceeds {len(t.sites)} stored sites")
+    stack = t.site_stack(len(word))
     prod = np.eye(t.m, dtype=np.complex128)
-    for l, k in enumerate(word, start=1):
+    for fam, k in zip(stack, word):
         k = int(k)
         if not 0 <= k < t.d:
             raise ValueError(f"symbol {k} out of range 0..{t.d - 1}")
-        prod = prod @ t.family_at(l)[k]
+        prod = prod @ fam[k]
     return complex(np.trace(prod))
 
 
-def _site_stacks(
-    t: SiteTensorSet,
-    n_sites: int,
-    transform: Callable[[np.ndarray], np.ndarray] | None = None,
-) -> Sequence[np.ndarray]:
-    """(d, m, m) symbol stacks of sites 1..N, optionally mapped by ``transform``.
-
-    ``transform`` maps an (L, d, m, m) stack to an (L, d', m, m) one.  A
-    translation-invariant set is transformed once, and its one family serves
-    every site.
-    """
-    stored = t._stack[:n_sites]
-    if transform is not None:
-        stored = transform(stored)
-    return [stored[0]] * n_sites if t.translation_invariant else stored
-
-
-def _word_sums(
-    stacks: Sequence[np.ndarray], left: np.ndarray, right: np.ndarray
-) -> np.ndarray:
+def _word_sums(stacks: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
     """Tr(left A_{k1} ... A_{kN} right) for every word k1..kN, flat in C word order.
 
-    ``stacks[l]`` is the (d, m, m) symbol stack of site l+1; ``left`` is
+    ``stacks`` is the (N, d, m, m) symbol stack of sites 1..N; ``left`` is
     (r, m) and ``right`` is (m, r).  The identity pair gives the periodic
     trace, a row pi^T and a column e give the boundary-vector form pi^T A..A e.
 
@@ -201,7 +173,7 @@ def _word_sums(
         z = (z @ fam.transpose(0, 2, 1)[:, None]).reshape(-1, r, m)
     z = z.reshape(len(z), -1).T
     first = stacks[0]
-    rows = math.prod(len(fam) for fam in stacks[1:h])
+    rows = stacks.shape[1] ** (h - 1)
     out = np.empty((len(first), rows, z.shape[1]), np.result_type(left, right, first))
     for k, a in enumerate(first):
         x = (left @ a)[None]
@@ -220,28 +192,25 @@ def build_state(
     route is deliberately independent of the transfer-operator route in
     `state_norm`.
     """
-    if n_sites < 1:
-        raise ValueError("n_sites must be >= 1")
-    if not t.compatible_length(n_sites):
-        raise ValueError(f"{n_sites} sites exceed {len(t.sites)} stored sites")
+    stack = t.site_stack(n_sites)
     _check_cap(size_cap, (t.d, n_sites))
     eye = np.eye(t.m, dtype=np.complex128)
-    return TensorVector((t.d,) * n_sites, _word_sums(_site_stacks(t, n_sites), eye, eye))
+    return TensorVector((t.d,) * n_sites, _word_sums(stack, eye, eye))
 
 
 def state_norm(t: SiteTensorSet, n_sites: int) -> float:
     """Norm of the periodic state via the transfer operator, without the dense state.
 
     The row-major matrix of M |-> sum_k A_k M A_k^dag is sum_k A_k (x) conj(A_k);
-    the squared norm is the trace of the product of these site matrices.
+    the squared norm is the trace of the product of these site matrices,
+    each computed once per stored site.
     """
-    if n_sites < 1:
-        raise ValueError("n_sites must be >= 1")
-    if not t.compatible_length(n_sites):
-        raise ValueError(f"{n_sites} sites exceed {len(t.sites)} stored sites")
-    prod = np.eye(t.m * t.m, dtype=np.complex128)
-    for l in range(1, n_sites + 1):
-        transfer = sum(np.kron(a, a.conj()) for a in t.family_at(l))
+    a = t._stack
+    m2 = t.m * t.m
+    stored = (a[:, :, :, None, :, None] * a.conj()[:, :, None, :, None, :]).sum(axis=1)
+    transfers = _over_sites(stored.reshape(-1, m2, m2), t.translation_invariant, n_sites)
+    prod = np.eye(m2, dtype=np.complex128)
+    for transfer in transfers:
         prod = prod @ transfer
     norm_sq = complex(np.trace(prod))
     return math.sqrt(max(norm_sq.real, 0.0))

@@ -135,8 +135,7 @@ def einsum_e_vector(model, n_keep, n):
         obs = list(string.ascii_letters[n_tail + 1 : 2 * n_tail + 1])
         subs = [hid[t] + hid[t + 1] for t in range(n_tail)]
         subs += [hid[t] + obs[t] for t in range(n_tail)]
-        us = [model.hidden_at(l) for l in range(n_keep + 1, n + 1)]
-        chis = [model.emission_at(l) for l in range(n_keep + 1, n + 1)]
+        us, chis = (stack[n_keep:] for stack in model.site_stacks(n))
         tail = np.einsum(
             ",".join(subs) + "->" + "".join(hid) + "".join(obs), *us, *chis, optimize=True
         )
@@ -189,8 +188,7 @@ def _loop_contraction_oracle(model, n_keep, n):
     """Fully independent evaluation: loop-built state, boundary vector, and sum."""
     m, d = model.m, model.d
     pi = model.pi
-    us = [model.hidden_at(l) for l in range(1, n + 1)]
-    chis = [model.emission_at(l) for l in range(1, n + 1)]
+    us, chis = model.site_stacks(n)
     out = np.zeros((d,) * n_keep, dtype=complex)
     for hidden in np.ndindex(*(m,) * (n + 1)):
         for word in np.ndindex(*(d,) * n):
@@ -501,6 +499,14 @@ def test_decompose_theta_infeasible():
 def test_decompose_rejects_bad_tolerance(tol):
     with pytest.raises(ValueError, match="tol must be finite and non-negative"):
         decompose_tensors(catalog.get("aklt").tensors, tol)
+
+
+def test_decompose_refuses_gram_that_overflows_to_nan():
+    big = np.diag([1e200, 0.0]).astype(complex)
+    t = SiteTensorSet(((big, np.diag([0.0, 1.0]).astype(complex)),), translation_invariant=True)
+    result = decompose_tensors(t)
+    assert not result.feasible
+    assert result.witness.reason == "assembled hidden matrix is not unitary"
 
 
 def test_decompose_zero_row():

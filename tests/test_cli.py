@@ -1,6 +1,7 @@
 import argparse
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -276,6 +277,65 @@ def test_gauge_failure_is_a_verification_failure(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: gauge condition fails at site 1: deviation ")
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["entropy", "--name", "ghz", "--N", "0"], "site count 0 is below 1 or exceeds the "
+         "stored sites (any count >= 1)"),
+        (["build-mps", "--name", "theta", "--theta", "0.3,0.9", "--sites", "3"],
+         "site count 3 is below 1 or exceeds the stored sites (counts 1..2)"),
+    ],
+    ids=["entropy-N-0", "build-mps-past-stored-sites"],
+)
+def test_site_count_outside_the_rule_is_one_line_usage_error(capsys, argv, message):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def _huge_entry_file(tmp_path, kind):
+    """GHZ tensors or model with one entry of 1e200, too large to square."""
+    if kind == "tensors":
+        doc = serialize.tensors_to_dict(catalog.get("ghz").tensors)
+        doc["sites"][0][0][0][0] = [1e200, 0.0]
+    else:
+        doc = serialize.model_to_dict(catalog.get("ghz").model)
+        doc["hidden"][0][0][0] = [1e200, 0.0]
+    path = tmp_path / f"big.{kind}.json"
+    serialize.dump_json(doc, path)
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "argv, kind, code, err_start",
+    [
+        (["entropy", "--N", "2", "--model"], "model", 2, "error: invalid model"),
+        (["extract", "--tensors"], "tensors", 1, "error: gauge condition fails at site 1"),
+        (["decompose", "--tensors"], "tensors", 1, None),
+    ],
+    ids=["entropy", "extract", "decompose"],
+)
+def test_overflowing_entry_gives_no_warnings(tmp_path, capsys, argv, kind, code, err_start):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([*argv, _huge_entry_file(tmp_path, kind)]) == code
+    assert [str(w.message) for w in caught] == []
+    err = capsys.readouterr().err
+    if err_start is None:  # an infeasible factorization is a verdict on stdout
+        assert err == ""
+    else:
+        assert err.startswith(err_start) and err.count("\n") == 1
+
+
+def test_decompose_refuses_non_unitary_u_from_overflowing_gram(tmp_path, capsys):
+    # U = diag(1e200, 1): U^dag U overflows to inf * 0 = nan, which must not pass as unitary
+    assert main(["decompose", "--tensors", _huge_entry_file(tmp_path, "tensors")]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("infeasible, site 1") and "not unitary" in out
+    assert "reconstruction error" not in out
 
 
 @pytest.mark.parametrize(

@@ -25,9 +25,15 @@ from mpshmm.ehmm import (
     observation_from_joint,
     validate,
 )
-from mpshmm.entropy import check_bound, observation_density_trace
+from mpshmm.entropy import (
+    bound_rhs,
+    check_bound,
+    mps_density,
+    observation_density_formula,
+    observation_density_trace,
+)
 from mpshmm.linalg import TensorVector, as_matrix
-from mpshmm.mps import SiteTensorSet, build_state
+from mpshmm.mps import SiteTensorSet, build_state, coefficient, state_norm
 
 # sign variant whose rows realize e_i -> (e_i x e_i + (-1)^i e_i x e_{1-i})/sqrt(2)
 HADAMARD_VARIANT = np.array([[1, 1], [-1, 1]], dtype=complex) / np.sqrt(2)
@@ -277,10 +283,10 @@ def isometry_chain_state(model: EhmmModel, n: int) -> TensorVector:
     """
     m, d = model.m, model.d
     x = np.sqrt(model.pi).astype(complex)
-    for l in range(1, n + 1):
-        x = x.reshape(-1, m) @ emission_isometry_matrix(model.emission_at(l)).T
+    for u, chi in zip(*model.site_stacks(n)):
+        x = x.reshape(-1, m) @ emission_isometry_matrix(chi).T
         x = x.reshape(-1, m, d).transpose(0, 2, 1)  # bring i_l last again
-        x = x.reshape(-1, m) @ hidden_isometry_matrix(model.hidden_at(l)).T
+        x = x.reshape(-1, m) @ hidden_isometry_matrix(u).T
     chain = TensorVector((d, m) * n + (m,), x.reshape(-1))
     hidden_first = [*range(1, 2 * n + 1, 2), 2 * n, *range(0, 2 * n, 2)]
     return chain.permute_factors(hidden_first)
@@ -503,6 +509,65 @@ def test_site_dependent_model_length_guard():
         build_psi_hon(model, 3)
 
 
+# ---- the one site rule ----
+
+# every public route that takes a site count, as (model, tensors of the model, count)
+SITE_COUNT_ROUTES = {
+    "build_psi_hon": lambda model, t, n: build_psi_hon(model, n),
+    "build_psi_hn": lambda model, t, n: build_psi_hn(model, n),
+    "build_psi_on": lambda model, t, n: build_psi_on(model, n),
+    "observation_from_joint": lambda model, t, n: observation_from_joint(model, n),
+    "build_e_vector": lambda model, t, n: build_e_vector(model, 1, n),
+    "observed_mps": lambda model, t, n: observed_mps(model, 1, n),
+    "observation_density_trace": lambda model, t, n: observation_density_trace(model, n),
+    "check_bound": lambda model, t, n: check_bound(model, n),
+    "coefficient": lambda model, t, n: coefficient(t, [0] * n),
+    "build_state": lambda model, t, n: build_state(t, n),
+    "state_norm": lambda model, t, n: state_norm(t, n),
+    "mps_density": lambda model, t, n: mps_density(t, n),
+    "observation_density_formula": lambda model, t, n: observation_density_formula(
+        t, model.pi, n
+    ),
+    "bound_rhs": lambda model, t, n: bound_rhs(t, model.pi, n),
+}
+
+
+@pytest.mark.parametrize(
+    "kind, n, serves",
+    [
+        ("site-dependent", 0, "counts 1..2"),
+        ("site-dependent", 3, "counts 1..2"),
+        ("translation-invariant", 0, "any count >= 1"),
+    ],
+)
+@pytest.mark.parametrize("route", SITE_COUNT_ROUTES)
+def test_every_route_raises_the_one_site_rule_message(route, kind, n, serves):
+    if kind == "site-dependent":
+        model = catalog.random_model(2, 2, 2, 25)
+    else:
+        model = catalog.get("cluster").model
+    t = tensors_from_ehmm(model, require_unitary=False)
+    message = f"site count {n} is below 1 or exceeds the stored sites ({serves})"
+    with pytest.raises(ValueError) as err:
+        SITE_COUNT_ROUTES[route](model, t, n)
+    assert str(err.value) == message
+
+
+def test_site_stacks_serve_views_of_the_stored_stacks():
+    model = catalog.get("cluster").model
+    u, chi = model.site_stacks(2**19)
+    assert u.shape == (2**19, 2, 2) and chi.shape == (2**19, 2, 2)
+    assert u.strides[0] == 0 and np.shares_memory(u, model.hidden[0])
+    assert not u.flags.writeable and not chi.flags.writeable
+    rnd = catalog.random_model(2, 2, 3, 25)
+    u, chi = rnd.site_stacks(2)
+    assert np.array_equal(u, rnd.hidden[:2]) and np.array_equal(chi, rnd.emission[:2])
+    assert np.shares_memory(u, rnd.hidden[0]) and not u.flags.writeable
+    t = tensors_from_ehmm(model)
+    stack = t.site_stack(5)
+    assert stack.shape == (5, 2, 2, 2) and np.shares_memory(stack, t.sites[0][0])
+
+
 # ---- chain builders against the literal einsum contractions ----
 
 
@@ -512,8 +577,7 @@ def _letters(count):
 
 def einsum_psi_hon(model, n):
     """The joint state as one einsum over all 2n+1 factors (52-letter limit)."""
-    us = [model.hidden_at(l) for l in range(1, n + 1)]
-    chis = [model.emission_at(l) for l in range(1, n + 1)]
+    us, chis = model.site_stacks(n)
     hid = _letters(2 * n + 1)[: n + 1]
     obs = _letters(2 * n + 1)[n + 1 :]
     subs = [hid[0]]
@@ -531,7 +595,7 @@ def einsum_psi_hon(model, n):
 
 
 def einsum_psi_hn(model, n):
-    us = [model.hidden_at(l) for l in range(1, n + 1)]
+    us, _ = model.site_stacks(n)
     hid = _letters(n + 1)
     subs = [hid[0]] + [hid[l] + hid[l + 1] for l in range(n)]
     coeff = np.einsum(
@@ -544,8 +608,8 @@ def einsum_psi_hn(model, n):
 
 
 def einsum_psi_on(model, n):
-    trans = [np.abs(model.hidden_at(l)) ** 2 for l in range(1, n)]
-    chis = [model.emission_at(l) for l in range(1, n + 1)]
+    us, chis = model.site_stacks(n)
+    trans = np.abs(us[:-1]) ** 2
     hid = _letters(2 * n)[:n]
     obs = _letters(2 * n)[n:]
     subs = [hid[0]]

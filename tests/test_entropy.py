@@ -20,7 +20,7 @@ from mpshmm.entropy import (
     observation_density_trace,
     relative_entropy,
 )
-from mpshmm.linalg import HermitianSpectrum, partial_trace
+from mpshmm.linalg import partial_trace
 from mpshmm.mps import SiteTensorSet, build_state, coefficient
 from test_mps import random_site_tensors
 
@@ -413,7 +413,7 @@ def test_size_cap_counts_observation_density_recursion():
 def _complex_eig(a):
     """The complex `eigh` route, whatever the imaginary part."""
     vals, vecs = np.linalg.eigh(np.asarray(a, dtype=np.complex128))
-    return HermitianSpectrum(vals[::-1].copy(), vecs[:, ::-1].copy())
+    return vals[::-1].copy(), vecs[:, ::-1].copy()
 
 
 REAL_SIGMA_MODELS = [
@@ -524,8 +524,8 @@ def loop_bound_rhs(t, pi, n, eps=1e-12, trace_normalized=False):
     for word in np.ndindex(*(t.d,) * n):
         prod = np.eye(m, dtype=complex)
         prod_sq = np.eye(m, dtype=complex)
-        for l, k in enumerate(word, start=1):
-            a = t.family_at(l)[k]
+        for fam, k in zip(t.site_stack(n), word):
+            a = fam[k]
             prod = prod @ a
             prod_sq = prod_sq @ (a * a.conj())
         nums.append(abs(complex(np.trace(prod))) ** 2)
@@ -552,9 +552,8 @@ def loop_observation_density(t, pi, n):
     for a, word in enumerate(words):
         for b, word_p in enumerate(words):
             prod = np.eye(t.m, dtype=complex)
-            for l in range(n):
-                fam = t.family_at(l + 1)
-                prod = prod @ (fam[word[l]] * fam[word_p[l]].conj())
+            for fam, k, k_p in zip(t.site_stack(n), word, word_p):
+                prod = prod @ (fam[k] * fam[k_p].conj())
             mat[a, b] = math.sqrt(t.m) * (pi @ prod @ e_vec)
     return mat
 
@@ -637,8 +636,8 @@ def uncut_bound_rhs(t, pi, n, trace_normalized):
     """The bound's word sum over every word with a nonzero numerator, no cut at all."""
     num = np.abs(build_state(t, n).entries) ** 2
     row = np.asarray(pi, dtype=float)[None, :]
-    for l in range(1, n + 1):
-        sq = np.abs(np.stack(t.family_at(l))) ** 2
+    for fam in t.site_stack(n):
+        sq = np.abs(fam) ** 2
         row = (row[:, None, None, :] @ sq[None]).reshape(-1, t.m)
     den = t.m * row.sum(axis=1)  # m^{3/2} pi^T (prod A o conj A) e, e = 1 / sqrt(m)
     scale = num.sum() / t.m if trace_normalized else 1.0

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ehmm import DEFAULT_SIZE_CAP, EhmmModel, _chain_step, _check_cap
-from .ehmm import _first_non_unitary, _over_sites
+from .ehmm import _over_sites
 from .linalg import TensorVector
 from .mps import SiteTensorSet, require_gauge
 
@@ -88,13 +88,16 @@ def tensors_from_ehmm(model: EhmmModel, require_unitary: bool = True) -> SiteTen
     With unitary hidden matrices the result satisfies the gauge condition;
     `require_unitary=False` skips that check for models that are merely
     row-normalized (the partial-measurement identity still holds, the gauge
-    condition need not).
+    condition need not).  The set is built on the first call for a model and
+    kept on it, so every later call returns the same read-only object.
     """
-    u, chi = model._hidden, model._emission
-    if require_unitary and (bad := _first_non_unitary(u)) is not None:
+    if require_unitary and (bad := model._non_unitary_site) is not None:
         raise ValueError(f"hidden matrix at site {bad} is not unitary")
-    tensors = chi.transpose(0, 2, 1)[..., None] * u[:, None]  # [l, k, i, j] = chi[l,i,k] U[l,i,j]
-    return SiteTensorSet(tensors, model.translation_invariant)
+    if model._tensors is None:
+        u, chi = model._hidden, model._emission
+        tensors = chi.transpose(0, 2, 1)[..., None] * u[:, None]  # [l, k, i, j] = chi[l,i,k] U[l,i,j]
+        object.__setattr__(model, "_tensors", SiteTensorSet(tensors, model.translation_invariant))
+    return model._tensors
 
 
 def _check_boundary_args(model: EhmmModel, n_keep: int, n: int) -> None:

@@ -5,13 +5,20 @@ Every default tensor set satisfies the gauge condition exactly.  The
 unit-norm GHZ convention that folds 1/sqrt(2) into site 1 breaks the gauge
 condition there, so it is provided as a separate site-dependent builder
 rather than as the default entry.
+
+An entry is built once per process: `get` checks its arguments, then returns
+the entry memoized for that name and those theta values (a bounded LRU cache,
+filled on first use).  Callers share it read-only: its tensor set and model
+hold read-only arrays, and its `parameters` is a read-only mapping.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from types import MappingProxyType
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -33,6 +40,7 @@ _SPLUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=np.complex128)
 _SMINUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=np.complex128)
 _SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128)
 _HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=np.complex128) / _SQ2
+_CACHED_ENTRIES = 32
 
 
 @dataclass(frozen=True)
@@ -40,8 +48,12 @@ class CatalogEntry:
     name: str
     tensors: SiteTensorSet | None = None
     model: EhmmModel | None = None
-    parameters: dict[str, tuple[float, ...]] = field(default_factory=dict)
+    parameters: Mapping[str, tuple[float, ...]] = field(default_factory=dict)
     notes: str = ""
+
+    def __post_init__(self) -> None:
+        # a shared entry must not be mutable through its parameters either
+        object.__setattr__(self, "parameters", MappingProxyType(dict(self.parameters)))
 
 
 def _uniform_pi(m: int) -> np.ndarray:
@@ -203,18 +215,30 @@ NAMES = tuple(_TABLE)
 
 
 def get(name: str, theta: float | Sequence[float] | None = None) -> CatalogEntry:
-    """Fetch a catalog entry by name; the theta family needs its parameter."""
+    """Fetch a catalog entry by name; the theta family needs its parameter.
+
+    The entry is built on the first request for its name and theta values
+    and shared by every later one, so it must be treated as read-only.
+    """
     if name not in _TABLE:
         raise KeyError(f"unknown catalog name {name!r}; known: {', '.join(NAMES)}")
-    builder, _, required = _TABLE[name]
+    required = _TABLE[name][2]
     if required is None:
-        return builder(name)
+        return _build(name, (), ())
     if theta is None:
         raise ValueError(f"{name} entry requires a {required} parameter")
     values = (float(theta),) if np.isscalar(theta) else tuple(float(x) for x in theta)
     if not values or not all(map(math.isfinite, values)):
         raise ValueError(f"{required} must be one or more finite values, got {theta!r}")
-    return builder(name, values)
+    # -0.0 == 0.0 as a key, but the theta tensors keep sin(-0.0) = -0.0; the signs split them
+    return _build(name, values, tuple(math.copysign(1.0, x) for x in values))
+
+
+@functools.lru_cache(maxsize=_CACHED_ENTRIES)
+def _build(name: str, values: tuple[float, ...], signs: tuple[float, ...]) -> CatalogEntry:
+    """The entry for checked arguments; ``signs`` only keys the cache."""
+    builder = _TABLE[name][0]
+    return builder(name, values) if values else builder(name)
 
 
 def random_model(m: int, d: int, sites: int, seed: int) -> EhmmModel:

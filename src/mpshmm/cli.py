@@ -41,7 +41,6 @@ from .ehmm import (
     build_psi_hn,
     build_psi_hon,
     build_psi_on,
-    _first_non_unitary,
 )
 from .entropy import check_bound
 from .linalg import TensorVector
@@ -195,7 +194,7 @@ def _cmd_build_ehmm_state(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     model = _resolve_model(args)
-    if _first_non_unitary(model._hidden) is not None:
+    if not model.hidden_unitary:
         print("note: hidden matrices are not unitary; gauge condition not implied")
     t = tensors_from_ehmm(model, require_unitary=False)
     direct = build_state(t, args.N, args.size_cap)

@@ -11,6 +11,10 @@ Every route in the package takes sites 1..n of a stack from one rule,
 broadcast view, a site-dependent one 1 <= n <= L, and any other n raises one
 message.  A per-site factor is computed on the stored stack, then spread.
 
+A model is immutable, so what is derived from it alone is derived once per
+process and shared read-only: whether its hidden stack is unitary
+(`EhmmModel.hidden_unitary`) and its site tensors (`bridge.tensors_from_ehmm`).
+
 The joint state on n sites lives in H^(n+1) (x) K^n and has coefficients
 
     sqrt(pi[i1]) * U[1][i1,i2] * ... * U[n][i_n,i_{n+1}]
@@ -22,13 +26,17 @@ then observation factors, both lexicographic.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from .linalg import ATOL, TensorVector, as_matrix, partial_inner_product
+
+if TYPE_CHECKING:
+    from .mps import SiteTensorSet
 
 DEFAULT_SIZE_CAP = 2**22
 ROW_NORM_TOL = 1e-10
@@ -57,6 +65,7 @@ class EhmmModel:
     it for every site.  Construction copies U and chi into read-only (L, m, m)
     and (L, m, d) stacks over the L stored sites, of which ``hidden`` and
     ``emission`` are views, and raises `ValueError` unless the model is valid.
+    The site tensors `bridge.tensors_from_ehmm` builds are kept in ``_tensors``.
     """
 
     pi: np.ndarray
@@ -65,6 +74,7 @@ class EhmmModel:
     translation_invariant: bool = False
     _hidden: np.ndarray = field(init=False, repr=False, compare=False)
     _emission: np.ndarray = field(init=False, repr=False, compare=False)
+    _tensors: SiteTensorSet | None = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         pi = np.array(np.reshape(self.pi, -1), dtype=np.float64)
@@ -87,6 +97,16 @@ class EhmmModel:
     @property
     def d(self) -> int:
         return self.emission[0].shape[1]
+
+    @functools.cached_property
+    def _non_unitary_site(self) -> int | None:
+        """1-based site of the first stored hidden matrix that is not unitary, or None."""
+        return _first_non_unitary(self._hidden)
+
+    @property
+    def hidden_unitary(self) -> bool:
+        """Whether every hidden matrix is unitary; decided once per model."""
+        return self._non_unitary_site is None
 
     def site_stacks(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         """(n, m, m) hidden and (n, m, d) emission stacks of sites 1..n, by `_over_sites`."""

@@ -34,7 +34,7 @@ import numpy as np
 
 from .bridge import tensors_from_ehmm
 from .ehmm import DEFAULT_SIZE_CAP, EhmmModel, _chain_step, _check_cap
-from .ehmm import _first_non_unitary, _over_sites
+from .ehmm import _over_sites
 from .linalg import as_matrix, hermitian_eig
 from .mps import SiteTensorSet, _word_sums, build_state
 
@@ -337,7 +337,6 @@ def check_bound(
     _check_cap(size_cap, (model.d, n_sites))
     sigma = _hidden_chain_density(model, n_sites, size_cap)
     t = tensors_from_ehmm(model, require_unitary=False)
-    hidden_unitary = _first_non_unitary(model._hidden) is None
     psi = build_state(t, n_sites, size_cap).entries
 
     vals, vecs = hermitian_eig(sigma)
@@ -370,5 +369,5 @@ def check_bound(
         s_diag_normalized=s_diag_norm,
         holds_normalized=bool(s_norm >= rhs_norm - BOUND_SLACK),
         support_violation=math.isinf(s_value),
-        hidden_unitary=bool(hidden_unitary),
+        hidden_unitary=model.hidden_unitary,
     )

@@ -3,7 +3,9 @@
 Complex entries are two-element [re, im] arrays; matrices are row-major
 nested lists; every document carries ``schema_version``.  Floats are written
 with full precision so export/import round-trips bit for bit.  Infinities
-(legal for divergences) are encoded as the string "inf".
+(legal for divergences) are encoded as the string "inf", and a NaN (such as
+the witness of an overflowing factorization) as "nan"; `dump_json` refuses
+any bare non-finite float, which strict JSON readers reject.
 
 `dump_json` writes one top-level field per line, and each field's value on
 that one line, so CPython's C encoder (which ``json.dumps`` takes only
@@ -91,6 +93,8 @@ def _field(doc: dict, key: str, kind: type) -> Any:
 
 
 def _real(x: float) -> float | str:
+    if math.isnan(x):
+        return "nan"
     return "inf" if math.isinf(x) else float(x)
 
 
@@ -152,7 +156,7 @@ def state_to_dict(v: TensorVector) -> dict:
         "schema_version": SCHEMA_VERSION,
         "kind": "tensor_vector",
         "factor_dims": list(v.factor_dims),
-        "norm": v.norm(),
+        "norm": _real(v.norm()),
         "entries": _pairs(v.entries),
     }
 
@@ -184,7 +188,7 @@ def _witness_to_dict(w: DecompositionWitness) -> dict:
     return {
         "site": w.site,
         "hidden_index": w.hidden_index,
-        "sigma2": w.sigma2,
+        "sigma2": _real(w.sigma2),
         "reason": w.reason,
     }
 
@@ -199,7 +203,7 @@ def decomposition_to_dict(r: DecompositionResult) -> dict:
         doc["translation_invariant"] = r.translation_invariant
         doc["hidden"] = [_pairs(u) for u in r.hidden or ()]
         doc["emission"] = [_pairs(c) for c in r.emission or ()]
-        doc["reconstruction_error"] = r.reconstruction_error
+        doc["reconstruction_error"] = _real(r.reconstruction_error)
     else:
         doc["witness"] = _witness_to_dict(r.witness) if r.witness else None
     return doc
@@ -226,7 +230,9 @@ def bound_report_to_dict(rep: BoundReport) -> dict:
 
 def dump_json(doc: dict, path: str | Path | None = None) -> str:
     """``doc`` as JSON text, one top-level field per line; also written to ``path``."""
-    fields = ",\n".join(f"  {json.dumps(k)}: {json.dumps(v)}" for k, v in doc.items())
+    fields = ",\n".join(
+        f"  {json.dumps(k)}: {json.dumps(v, allow_nan=False)}" for k, v in doc.items()
+    )
     text = f"{{\n{fields}\n}}" if doc else "{}"
     if path is not None:
         Path(path).write_text(text + "\n")

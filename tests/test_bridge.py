@@ -55,6 +55,40 @@ def test_non_unitary_hidden_rejected_by_default():
     assert t.m == 2 and t.d == 2
 
 
+def test_repeated_tensors_from_ehmm_returns_one_set_equal_to_a_fresh_stack():
+    model = catalog.random_model(2, 3, 3, seed=43)
+    t = tensors_from_ehmm(model)
+    assert tensors_from_ehmm(model) is t
+    assert tensors_from_ehmm(model, require_unitary=False) is t
+    # a[l][k][i, j] = chi_l[i, k] * U_l[i, j]
+    fresh = np.array(
+        [[chi[:, k, None] * u for k in range(model.d)] for u, chi in zip(model.hidden, model.emission)]
+    )
+    assert np.array_equal(t._stack, fresh)
+    assert not t._stack.flags.writeable
+
+
+def _second_site_non_unitary() -> EhmmModel:
+    theta_u = catalog.get("theta", theta=0.3).model.hidden[0]
+    return EhmmModel(pi=[0.5, 0.5], hidden=(np.eye(2), theta_u), emission=(np.eye(2), np.eye(2)))
+
+
+@pytest.mark.parametrize(
+    "make, site",
+    [(lambda: catalog.get("theta", theta=0.3).model, 1), (_second_site_non_unitary, 2)],
+    ids=["theta", "second-site"],
+)
+def test_non_unitary_model_raises_the_same_message_on_every_call(make, site):
+    model = make()
+    assert not model.hidden_unitary
+    t = tensors_from_ehmm(model, require_unitary=False)
+    for _ in range(3):
+        with pytest.raises(ValueError) as info:
+            tensors_from_ehmm(model)
+        assert str(info.value) == f"hidden matrix at site {site} is not unitary"
+    assert tensors_from_ehmm(model, require_unitary=False) is t
+
+
 # ---- boundary vector ----
 
 

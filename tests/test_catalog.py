@@ -1,9 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from mpshmm import catalog
+from mpshmm import catalog, serialize
 from mpshmm.bridge import decompose_tensors, tensors_from_ehmm
 from mpshmm.ehmm import validate
 from mpshmm.mps import build_state, gauge_check
@@ -73,6 +74,64 @@ def test_theta_must_be_finite(theta, shown):
 def test_unknown_name():
     with pytest.raises(KeyError):
         catalog.get("w-state")
+
+
+@pytest.mark.parametrize(
+    "name, theta",
+    [("ghz", None), ("aklt", None), ("theta", 0.3), ("theta", [0.3, 0.9]), ("cluster", 5.0)],
+)
+def test_repeated_get_returns_the_same_entry(name, theta):
+    assert catalog.get(name, theta=theta) is catalog.get(name, theta=theta)
+
+
+def test_shared_entry_is_read_only():
+    entry = catalog.get("theta", theta=[0.3, 0.9])
+    arrays = [entry.model.pi, entry.model.hidden[0], entry.model.emission[1], entry.tensors.sites[1][0]]
+    for a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0.0
+    with pytest.raises(TypeError):
+        entry.parameters["theta"] = (1.0,)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        entry.parameters = {}
+    assert catalog.get("theta", theta=[0.3, 0.9]).parameters == {"theta": (0.3, 0.9)}
+
+
+@pytest.mark.parametrize("first, second", [(0.0, -0.0), (-0.0, 0.0)])
+def test_signed_zero_theta_exports_as_a_fresh_build(first, second):
+    # sin(-0.0) = -0.0 is stored, so the two zeros export differently
+    catalog._build.cache_clear()
+    catalog.get("theta", theta=first)
+    entry = catalog.get("theta", theta=second)
+    fresh = catalog._theta("theta", (second,))
+    for part, to_dict in (("tensors", serialize.tensors_to_dict), ("model", serialize.model_to_dict)):
+        exported = serialize.dump_json(to_dict(getattr(entry, part)))
+        assert exported == serialize.dump_json(to_dict(getattr(fresh, part)))
+
+
+@pytest.mark.parametrize(
+    "name, theta, error, message",
+    [
+        ("w-state", None, KeyError, "unknown catalog name 'w-state'; known: "
+         "ghz, cluster, aklt, aklt-derived, theta"),
+        ("theta", None, ValueError, "theta entry requires a theta parameter"),
+        ("theta", [0.5, math.inf], ValueError,
+         "theta must be one or more finite values, got [0.5, inf]"),
+        ("theta", [], ValueError, "theta must be one or more finite values, got []"),
+    ],
+)
+def test_refused_request_caches_nothing(name, theta, error, message):
+    catalog._build.cache_clear()
+    with pytest.raises(error) as info:
+        catalog.get(name, theta=theta)
+    assert info.value.args == (message,)
+    assert catalog._build.cache_info().currsize == 0
+
+
+def test_entry_cache_is_bounded():
+    for k in range(catalog._CACHED_ENTRIES + 5):
+        catalog.get("theta", theta=k / 10)
+    assert catalog._build.cache_info().currsize == catalog._CACHED_ENTRIES
 
 
 def test_listing_and_gauge_of_all_entries():

@@ -338,6 +338,29 @@ def test_decompose_refuses_non_unitary_u_from_overflowing_gram(tmp_path, capsys)
     assert "reconstruction error" not in out
 
 
+def _refuse_constant(token):
+    raise ValueError(f"bare {token} is not JSON")
+
+
+# the 1e200 entry overflows the norms; only the document is checked here
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize(
+    "argv, code, path, value",
+    [
+        (["decompose", "--format", "json", "--tensors"], 1, ("witness", "sigma2"), "nan"),
+        (["build-mps", "--sites", "1", "--format", "json", "--tensors"], 0, ("norm",), "inf"),
+    ],
+    ids=["decompose-witness", "build-mps-norm"],
+)
+def test_overflowing_tensors_give_strict_json(tmp_path, capsys, argv, code, path, value):
+    assert main([*argv, _huge_entry_file(tmp_path, "tensors")]) == code
+    decoder = json.JSONDecoder(parse_constant=_refuse_constant)
+    doc, _ = decoder.raw_decode(capsys.readouterr().out)
+    for key in path:
+        doc = doc[key]
+    assert doc == value
+
+
 @pytest.mark.parametrize(
     "argv, text",
     [

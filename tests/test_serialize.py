@@ -9,7 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mpshmm import catalog, serialize
-from mpshmm.bridge import DecompositionResult, decompose_tensors, extract_classical_hmm
+from mpshmm.bridge import (
+    DecompositionResult,
+    DecompositionWitness,
+    decompose_tensors,
+    extract_classical_hmm,
+)
 from mpshmm.entropy import BoundReport, check_bound
 from mpshmm.linalg import TensorVector
 
@@ -103,6 +108,23 @@ _INF_REPORT = BoundReport(
     hidden_unitary=False,
 )
 
+# the witness of an overflowing factorization: its Gram deviation is inf * 0
+_NAN_WITNESS = DecompositionResult(
+    feasible=False,
+    witness=DecompositionWitness(1, 0, math.nan, "assembled hidden matrix is not unitary"),
+)
+
+
+def test_non_finite_witness_and_error_are_written_as_strings():
+    assert serialize.decomposition_to_dict(_NAN_WITNESS)["witness"]["sigma2"] == "nan"
+    doc = serialize.decomposition_to_dict(
+        DecompositionResult(feasible=True, reconstruction_error=math.inf)
+    )
+    assert doc["reconstruction_error"] == "inf"
+    with pytest.raises(ValueError):
+        serialize.dump_json({"sigma2": math.nan})
+
+
 DOCUMENTS = {
     "model": lambda: serialize.model_to_dict(catalog.random_model(3, 2, 2, 82)),
     "tensors": lambda: serialize.tensors_to_dict(catalog.get("aklt").tensors),
@@ -122,6 +144,7 @@ DOCUMENTS = {
         DecompositionResult(feasible=True, reconstruction_error=0.0)
     ),
     "no-witness": lambda: serialize.decomposition_to_dict(DecompositionResult(feasible=False)),
+    "witness-nan": lambda: serialize.decomposition_to_dict(_NAN_WITNESS),
     "bound-inf": lambda: serialize.bound_report_to_dict(_INF_REPORT),
     "bound": lambda: serialize.bound_report_to_dict(check_bound(catalog.get("cluster").model, 3)),
     "empty": dict,
@@ -280,6 +303,12 @@ def test_integer_too_large_for_a_float_is_a_value_error():
 @settings(max_examples=100, deadline=None)
 @given(doc=st.dictionaries(st.text(max_size=8), JSON_VALUES, max_size=6))
 def test_dump_json_parses_like_the_indented_encoder(doc):
-    # re-encoding compares NaN by its text, where == would not
+    try:
+        json.dumps(doc, allow_nan=False)
+    except ValueError:  # a NaN or infinity has no strict JSON token, so dump_json refuses it
+        with pytest.raises(ValueError):
+            serialize.dump_json(doc)
+        return
+    # re-encoding compares -0.0 by its text, where == would not
     parsed = json.loads(serialize.dump_json(doc))
     assert json.dumps(parsed) == json.dumps(json.loads(json.dumps(doc, indent=2)))

@@ -121,10 +121,10 @@ def build_e_vector(
     The middle hidden indices i_2..i_N are unconstrained.  For n = N the
     product is empty and only the weight and the delta remain.
     """
-    u, chi = model.site_stacks(n)
-    _check_boundary_args(model, n_keep, n)
     m, d = model.m, model.d
     _check_cap(size_cap, (m, n + 1), (d, n - n_keep))
+    u, chi = model.site_stacks(n)
+    _check_boundary_args(model, n_keep, n)
 
     # tail over (i_{N+1}, ..., i_{n+1}, k_{N+1}, ..., k_n)
     n_tail = n - n_keep
@@ -165,13 +165,13 @@ def observed_mps(
     Python step each, so the work stays bounded for any n.
     """
     m, d = model.m, model.d
+    _check_cap(size_cap, (m, 2), (d, n_keep))
+    if n - n_keep > size_cap:
+        raise ValueError(f"{n - n_keep} trailing sites exceed size cap {size_cap}")
     u, chi = model._hidden, model._emission
     steps = (chi[..., None] * u[:, :, None, :]).reshape(len(u), m, d * m)
     steps = _over_sites(steps, model.translation_invariant, n)
     _check_boundary_args(model, n_keep, n)
-    _check_cap(size_cap, (m, 2), (d, n_keep))
-    if n - n_keep > size_cap:
-        raise ValueError(f"{n - n_keep} trailing sites exceed size cap {size_cap}")
 
     r = _trailing_fold(model, n_keep, n)
     x = np.eye(m, dtype=np.complex128)

@@ -281,17 +281,22 @@ def _chain_step(
 
     ``x[h, i, w]`` holds the chain so far: the kept hidden prefix h, the
     current hidden index i and the observation prefix w, both in C order.
-    The site multiplies in u[i, j] * chi[i, k], moves to the next hidden
-    index j and appends k to w.  Kept, i joins the hidden prefix (one
-    broadcast); summed, x must be (1, m, W) and i is summed by one GEMM.
+    The site factor site[i, j, k] = u[i, j] * chi[i, k] (m * out_m * d
+    entries) moves to the next hidden index j and appends k to w.
+
+    Kept, i joins the hidden prefix: out[h, i, j, w, k] = x[h, i, w] *
+    site[i, j, k] is one batched (W, 1) @ (1, d) matmul, which writes the
+    new (h * m, out_m, W * d) state and nothing else beside x.  Summed, x
+    must be (1, m, W) and out[j, w, k] = sum_i x[i, w] * site[i, j, k] is
+    one (W, m) @ (m, d) GEMM per next index j, again writing only the
+    (1, out_m, W * d) output.
     """
     h, m, w = x.shape
     out_m, d = u.shape[1], chi.shape[1]
-    if sum_hidden:
-        y = (x[0, :, :, None] * chi[:, None, :]).reshape(m, -1)
-        return (u.T @ y).reshape(1, out_m, w * d)
     site = u[:, :, None] * chi[:, None, :]
-    out = x[:, :, None, :, None] * site[None, :, :, None, :]
+    if sum_hidden:
+        return np.matmul(x[0].T, site.transpose(1, 0, 2)).reshape(1, out_m, w * d)
+    out = np.matmul(x[:, :, None, :, None], site[None, :, :, None, :])
     return out.reshape(h * m, out_m, w * d)
 
 
@@ -302,9 +307,9 @@ def build_psi_hon(
 
     Factors: n+1 hidden (dimension m) followed by n observation (dimension d).
     """
-    u, chi = model.site_stacks(n)
     m, d = model.m, model.d
     _check_cap(size_cap, (m, n + 1), (d, n))
+    u, chi = model.site_stacks(n)
     x = np.sqrt(model.pi.astype(np.complex128)).reshape(1, m, 1)
     for u_l, chi_l in zip(u, chi):
         x = _chain_step(x, u_l, chi_l)
@@ -315,9 +320,9 @@ def build_psi_hn(
     model: EhmmModel, n: int, size_cap: int = DEFAULT_SIZE_CAP
 ) -> TensorVector:
     """Hidden Markov chain state on n+1 hidden factors; a unit vector."""
-    u, _ = model.site_stacks(n)
     m = model.m
     _check_cap(size_cap, (m, n + 1))
+    u, _ = model.site_stacks(n)
     x = np.sqrt(model.pi.astype(np.complex128)).reshape(1, m, 1)
     no_emission = np.ones((m, 1))
     for u_l in u:
@@ -340,10 +345,10 @@ def build_psi_on(
     This is the site numbering the partial-inner-product route
     (`observation_from_joint`) gives, also for site-dependent models.
     """
-    _, chi = model.site_stacks(n)
-    trans = _over_sites(np.abs(model._hidden) ** 2, model.translation_invariant, n)
     m, d = model.m, model.d
     _check_cap(size_cap, (d, n))
+    _, chi = model.site_stacks(n)
+    trans = _over_sites(np.abs(model._hidden) ** 2, model.translation_invariant, n)
     x = model.pi.astype(np.complex128).reshape(1, m, 1)
     # the last site has no transition; summing i_n is a column of ones
     for trans_l, chi_l in zip([*trans[:-1], np.ones((m, 1))], chi):

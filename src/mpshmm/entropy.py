@@ -35,11 +35,10 @@ import numpy as np
 from .bridge import tensors_from_ehmm
 from .ehmm import DEFAULT_SIZE_CAP, EhmmModel, _chain_step, _check_cap
 from .ehmm import _over_sites
-from .linalg import as_matrix, hermitian_eig
+from .linalg import _require_hermitian, as_matrix, hermitian_eig
 from .mps import SiteTensorSet, _word_sums, build_state
 
 BOUND_SLACK = 1e-8
-HERMITIAN_TOL = 1e-10
 EIGEN_FLOOR = -1e-10
 # input validation, not a support cut: eigenvalues below -_PSD_TOL reject the input
 _PSD_TOL = 1e-12
@@ -71,9 +70,7 @@ class DensityMatrix:
         dims = tuple(int(x) for x in self.factor_dims)
         if mat.shape != (math.prod(dims), math.prod(dims)):
             raise ValueError(f"matrix shape {mat.shape} incompatible with factors {dims}")
-        scale = max(1.0, float(np.linalg.norm(mat)))
-        if float(np.linalg.norm(mat - mat.conj().T)) > HERMITIAN_TOL * scale:
-            raise ValueError("density matrix is not Hermitian within tolerance")
+        scale = _require_hermitian(mat, "density matrix")
         low = float(np.linalg.eigvalsh(mat).min())
         if low < EIGEN_FLOOR * scale:
             raise ValueError(f"density matrix has eigenvalue {low}, not PSD")
@@ -100,7 +97,8 @@ def mps_density(
     """
     _check_cap(size_cap, (t.d, 2 * n_sites))
     psi = build_state(t, n_sites, size_cap)
-    mat = np.outer(psi.entries, psi.entries.conj()) / t.m
+    mat = np.outer(psi.entries, psi.entries.conj())
+    mat /= t.m
     return DensityMatrix(mat, psi.factor_dims)
 
 
@@ -124,8 +122,8 @@ def observation_density_formula(
     # of pairs per (word, word'), with the pair axes unzipped afterwards
     a = t._stack
     pairs = (a[:, :, None] * a.conj()[:, None]).reshape(len(a), -1, t.m, t.m)
-    stacks = _over_sites(pairs, t.translation_invariant, n_sites)
     _check_cap(size_cap, (t.d, 2 * n_sites))
+    stacks = _over_sites(pairs, t.translation_invariant, n_sites)
     n_words = t.d**n_sites
     e_vec = np.ones((t.m, 1)) / math.sqrt(t.m)
     sums = _word_sums(stacks, pi[None], e_vec)
@@ -142,16 +140,20 @@ def _hidden_chain_density(model: EhmmModel, n_sites: int, size_cap: int) -> np.n
     over its hidden factors.  |U_l|^2 and the pair factors chi_l (x)
     conj(chi_l) of every stored site come from one operation each on the
     model's stacks.  Each site is one `_chain_step` over the pair alphabet
-    (k, k'), carrying an (m, d^l * d^l) array; the last site sums i_{N+1}
-    through the row sums of |U_N|^2.  The pair axes are unzipped at the end.
+    (k, k'): one GEMM per next hidden index, taking the (m, d^(2l-2)) array
+    of the sites so far to the next (m, d^(2l)) one and holding nothing else.
+    The last site sums i_{N+1} through the row sums of |U_N|^2, so its step
+    writes sigma itself, d^(2N) entries, beside an input m / d^2 as large.
+    Unzipping the pair axes copies sigma once, so the call peaks at two
+    sigma-sized arrays and returns one.
     """
     m, d = model.m, model.d
     chi = model._emission
     pairs = (chi[..., None] * chi.conj()[:, :, None]).reshape(len(chi), m, d * d)  # [l, i, (k, k')]
-    pairs = _over_sites(pairs, model.translation_invariant, n_sites)
-    trans = _over_sites(np.abs(model._hidden) ** 2, model.translation_invariant, n_sites)
     _check_cap(size_cap, (d, 2 * n_sites))
     _check_cap(size_cap, (m, 1), (d, 2 * n_sites), what="observation-density recursion")
+    pairs = _over_sites(pairs, model.translation_invariant, n_sites)
+    trans = _over_sites(np.abs(model._hidden) ** 2, model.translation_invariant, n_sites)
     n_words = d**n_sites
     x = model.pi.astype(np.complex128).reshape(1, m, 1)
     last = trans[-1].sum(axis=1, keepdims=True)
@@ -332,6 +334,13 @@ def check_bound(
     identity (RHS = dephased S) compares like with like.  The literal values,
     for (1/m)|psi><psi| with trace t = |psi|^2 / m, follow exactly as
     t * S + t ln t, because the rule is scale-invariant.
+
+    Memory: sigma is the only D x D array the call makes before `eigh` (the
+    recursion's unzip copy is gone when it returns), and the Hermitian check
+    holds one real D x D temporary at a time.  `eigh` adds the eigenvectors,
+    handed back as a view, and the overlap weights |<v|e_i>|^2 are one
+    vector-matrix product.  So sigma plus its eigenvectors is the traced
+    peak; LAPACK's workspace is allocated outside numpy's tracing.
     """
     # an oversized state is refused as such; then sigma, whose recursion peaks holding nothing else
     _check_cap(size_cap, (model.d, n_sites))
@@ -348,7 +357,7 @@ def check_bound(
     p /= trace_rho
     q = np.diag(sigma).real
     v = psi / math.sqrt(trace_rho * t.m)
-    weights = np.abs(vecs.conj().T @ v) ** 2
+    weights = np.abs(v.conj() @ vecs) ** 2
 
     s_norm = _divergence(np.ones(1), vals, weights[None])
     s_diag_norm = _divergence(p, q)

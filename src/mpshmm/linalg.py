@@ -71,7 +71,9 @@ class TensorVector:
         return self.entries.reshape(self.factor_dims)
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.entries))
+        """Euclidean norm; inf, with no warning, when the sum of squares overflows."""
+        with np.errstate(over="ignore"):
+            return float(np.linalg.norm(self.entries))
 
     def inner(self, other: "TensorVector") -> complex:
         """<self|other> (antilinear in self)."""
@@ -136,17 +138,37 @@ def partial_trace(
     return t.reshape(kept_dim, kept_dim)
 
 
+def _require_hermitian(a: np.ndarray, what: str) -> float:
+    """Scale max(1, |A|_F) of a square matrix, after checking |A - A^H|_F <= ATOL * scale.
+
+    Raises ``ValueError("<what> is not Hermitian within tolerance")`` otherwise.
+    A complex A is measured as hypot(|Re A - Re A^T|_F, |Im A + Im A^T|_F),
+    the same residual, so the check holds at most one real D x D temporary.
+    """
+    scale = max(1.0, float(np.linalg.norm(a)))
+    if np.iscomplexobj(a):
+        re, im = a.real, a.imag
+        residual = math.hypot(np.linalg.norm(re - re.T), np.linalg.norm(im + im.T))
+    else:
+        residual = float(np.linalg.norm(a - a.T))
+    if residual > ATOL * scale:
+        raise ValueError(f"{what} is not Hermitian within tolerance")
+    return scale
+
+
 def hermitian_eig(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(eigenvalues, eigenvectors) of a Hermitian matrix: real eigenvalues
     descending, and the orthonormal eigenvectors as matching columns.
 
     An exactly real matrix takes the real symmetric `eigh`, about twice as fast.
+    The Hermitian check (`_require_hermitian`) holds one real D x D temporary
+    at a time.  Both outputs are reversed views of `eigh`'s, not copies, so
+    beside the input the call keeps one D x D array, the eigenvectors; LAPACK's
+    workspace is allocated outside numpy and is not seen by tracemalloc.
     """
     a = as_matrix(a)
     if not a.imag.any():
         a = a.real
-    scale = max(1.0, float(np.linalg.norm(a)))
-    if np.linalg.norm(a - a.conj().T) > ATOL * scale:
-        raise ValueError("matrix is not Hermitian within tolerance")
+    _require_hermitian(a, "matrix")
     vals, vecs = np.linalg.eigh(a)
-    return vals[::-1].copy(), vecs[:, ::-1].copy()
+    return vals[::-1], vecs[:, ::-1]

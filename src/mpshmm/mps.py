@@ -192,8 +192,8 @@ def build_state(
     route is deliberately independent of the transfer-operator route in
     `state_norm`.
     """
-    stack = t.site_stack(n_sites)
     _check_cap(size_cap, (t.d, n_sites))
+    stack = t.site_stack(n_sites)
     eye = np.eye(t.m, dtype=np.complex128)
     return TensorVector((t.d,) * n_sites, _word_sums(stack, eye, eye))
 
@@ -203,14 +203,17 @@ def state_norm(t: SiteTensorSet, n_sites: int) -> float:
 
     The row-major matrix of M |-> sum_k A_k M A_k^dag is sum_k A_k (x) conj(A_k);
     the squared norm is the trace of the product of these site matrices,
-    each computed once per stored site.
+    each computed once per stored site.  A product that overflows gives inf,
+    as the dense norm does, with no warning: the entries are finite, so a nan
+    can only come from an inf met by a zero or by an inf of the other sign.
     """
     a = t._stack
     m2 = t.m * t.m
-    stored = (a[:, :, :, None, :, None] * a.conj()[:, :, None, :, None, :]).sum(axis=1)
-    transfers = _over_sites(stored.reshape(-1, m2, m2), t.translation_invariant, n_sites)
-    prod = np.eye(m2, dtype=np.complex128)
-    for transfer in transfers:
-        prod = prod @ transfer
-    norm_sq = complex(np.trace(prod))
-    return math.sqrt(max(norm_sq.real, 0.0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        stored = (a[:, :, :, None, :, None] * a.conj()[:, :, None, :, None, :]).sum(axis=1)
+        transfers = _over_sites(stored.reshape(-1, m2, m2), t.translation_invariant, n_sites)
+        prod = np.eye(m2, dtype=np.complex128)
+        for transfer in transfers:
+            prod = prod @ transfer
+        norm_sq = complex(np.trace(prod)).real
+    return math.sqrt(max(norm_sq, 0.0)) if math.isfinite(norm_sq) else math.inf

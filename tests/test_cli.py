@@ -243,6 +243,29 @@ def test_huge_size_is_one_line_size_cap_error(capsys, argv):
     assert "entries exceeds size cap" in captured.err
 
 
+HUGE = 10**30
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["build-mps", "--name", "ghz", "--sites", str(HUGE)],
+         f"state of 2^{HUGE} entries exceeds size cap "),
+        (["verify", "theorem1", "--name", "ghz", "--N", "1", "--n", str(HUGE)],
+         f"{HUGE - 1} trailing sites exceed size cap "),
+        (["build-ehmm-state", "--name", "ghz", "--n", str(HUGE)],
+         f"state of 2^{HUGE + 1} * 2^{HUGE} entries exceeds size cap "),
+    ],
+    ids=["build-mps", "verify", "build-ehmm-state"],
+)
+def test_site_count_past_any_array_is_one_line_size_cap_error(capsys, argv, message):
+    # the cap is checked before the sites are spread, so numpy never sees the count
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {message}") and captured.err.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -328,6 +351,17 @@ def test_overflowing_entry_gives_no_warnings(tmp_path, capsys, argv, kind, code,
         assert err == ""
     else:
         assert err.startswith(err_start) and err.count("\n") == 1
+
+
+def test_overflowing_tensors_give_infinite_norms_without_warnings(tmp_path, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        argv = ["build-mps", "--sites", "1", "--tensors", _huge_entry_file(tmp_path, "tensors")]
+        assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    lines = captured.out.splitlines()
+    assert "norm: inf" in lines[1] and lines[-1] == "transfer-route norm: inf"
 
 
 def test_decompose_refuses_non_unitary_u_from_overflowing_gram(tmp_path, capsys):

@@ -1,8 +1,12 @@
+import itertools
 import math
 import string
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import mpshmm
 from mpshmm import catalog, serialize
@@ -18,6 +22,7 @@ from mpshmm.ehmm import (
     ROW_NORM_TOL,
     EhmmModel,
     Violation,
+    _chain_step,
     _check_cap,
     build_psi_hn,
     build_psi_hon,
@@ -663,6 +668,66 @@ def test_chain_builders_past_einsum_letter_limit():
     assert np.allclose(build_psi_hon(model, 30).entries, [1.0])
     assert np.allclose(build_psi_on(model, 40).entries, [1.0])
     assert np.allclose(build_psi_hn(model, 60).entries, [1.0])
+
+
+# ---- the chain step against a literal loop ----
+
+
+def loop_chain_step(x, u, chi, sum_hidden):
+    """`_chain_step` entry by entry, in extended precision.
+
+    Kept: out[h*m + i, j, w*d + k] = x[h, i, w] u[i, j] chi[i, k].
+    Summed: out[0, j, w*d + k] = sum_i x[0, i, w] u[i, j] chi[i, k].
+    """
+    x, u, chi = (np.asarray(a, dtype=np.clongdouble) for a in (x, u, chi))
+    h, m, w = x.shape
+    out_m, d = u.shape[1], chi.shape[1]
+    out = np.zeros((1 if sum_hidden else h * m, out_m, w * d), dtype=np.clongdouble)
+    for hh, i, j, ww, k in itertools.product(range(h), range(m), range(out_m), range(w), range(d)):
+        row = 0 if sum_hidden else hh * m + i
+        out[row, j, ww * d + k] += x[hh, i, ww] * u[i, j] * chi[i, k]
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    sum_hidden=st.booleans(),
+    h=st.integers(1, 3),
+    m=st.integers(1, 3),
+    w=st.integers(1, 4),
+    d=st.integers(1, 3),
+    out_one=st.booleans(),
+    real_u=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(sum_hidden=False, h=2, m=2, w=2, d=1, out_one=False, real_u=False, seed=1)  # build_psi_hn
+@example(sum_hidden=True, h=1, m=3, w=4, d=2, out_one=True, real_u=True, seed=2)  # last summed step
+def test_chain_step_equals_literal_loop(sum_hidden, h, m, w, d, out_one, real_u, seed):
+    rng = np.random.default_rng(seed)
+    h = 1 if sum_hidden else h
+    out_m = 1 if sum_hidden and out_one else m  # only the summed last step narrows to one column
+    x = rng.standard_normal((h, m, w)) + 1j * rng.standard_normal((h, m, w))
+    u = rng.standard_normal((m, out_m)) + (0 if real_u else 1j * rng.standard_normal((m, out_m)))
+    chi = rng.standard_normal((m, d)) + 1j * rng.standard_normal((m, d))
+    got = _chain_step(x, u, chi, sum_hidden=sum_hidden)
+    want = loop_chain_step(x, u, chi, sum_hidden)
+    # the error of each entry is relative to the sum of its terms' moduli
+    scale = loop_chain_step(np.abs(x), np.abs(u), np.abs(chi), sum_hidden)
+    assert got.shape == want.shape and got.dtype == np.complex128
+    assert np.all(np.abs(got - want) <= 1e-15 * scale.real)
+
+
+def test_build_psi_hon_peak_memory_near_output_size():
+    # the last step writes the (m^(n+1), d^n) state beside the previous one, a factor m*d smaller
+    model = catalog.random_model(3, 2, 10, 7)
+    state = build_psi_hon(model, 5)
+    tracemalloc.start()
+    try:
+        build_psi_hon(model, 5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.3 * state.entries.nbytes
 
 
 # ---- vectorized validation against the per-row loop ----

@@ -629,6 +629,19 @@ def test_bound_rhs_peak_memory_within_build_state_bound():
         assert peak <= limit
 
 
+def test_check_bound_peak_memory_is_sigma_plus_eigenvectors():
+    # sigma and the eigenvectors of the complex eigh, 2 x 16 * 4^8 bytes at random m=3, d=2
+    model = catalog.random_model(3, 2, 10, 7)
+    check_bound(model, 8)
+    tracemalloc.start()
+    try:
+        check_bound(model, 8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * 16 * 4**8
+
+
 # ---- the scale-aware support rule ----
 
 

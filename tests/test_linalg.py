@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from mpshmm.entropy import DensityMatrix
 from mpshmm.linalg import (
+    ATOL,
     TensorVector,
     hermitian_eig,
     partial_inner_product,
@@ -134,6 +136,47 @@ def test_eig_random_reconstruction():
 def test_eig_rejects_non_hermitian():
     with pytest.raises(ValueError):
         hermitian_eig(SPLUS)
+
+
+def _near_boundary(kind, factor):
+    """A 4 x 4 matrix whose Hermitian residual is ``factor`` * ATOL * max(1, |A|_F).
+
+    The perturbation sits where the Hermitian part is exactly zero, so the
+    residual is exact: 2 delta on an imaginary diagonal entry, sqrt(2) delta
+    on a real off-diagonal one.
+    """
+    rng = np.random.default_rng(21)
+    h = random_hermitian(rng, 4) if kind == "complex" else random_hermitian(rng, 4).real
+    h[0, 1] = h[1, 0] = 0.0
+    scale = max(1.0, float(np.linalg.norm(h)))
+    a = h.copy()
+    if kind == "complex":
+        a[0, 0] += 1j * factor * ATOL * scale / 2
+    else:
+        a[0, 1] += factor * ATOL * scale / np.sqrt(2)
+    return a
+
+
+@pytest.mark.parametrize("kind", ["complex", "real"])
+def test_eig_hermitian_check_is_exact_at_the_boundary(kind):
+    with pytest.raises(ValueError, match="^matrix is not Hermitian within tolerance$"):
+        hermitian_eig(_near_boundary(kind, 1 + 1e-6))
+    with pytest.raises(ValueError, match="^density matrix is not Hermitian within tolerance$"):
+        DensityMatrix(_near_boundary(kind, 1 + 1e-6), (4,))
+    vals, vecs = hermitian_eig(_near_boundary(kind, 1 - 1e-6))
+    assert np.all(np.diff(vals) <= 0)
+    assert np.linalg.norm(vecs.conj().T @ vecs - np.eye(4)) <= 1e-12
+
+
+@pytest.mark.parametrize("kind", ["complex", "real"])
+def test_eig_descending_orthonormal_and_reconstructs(kind):
+    rng = np.random.default_rng(9)
+    a = random_hermitian(rng, 7) if kind == "complex" else random_hermitian(rng, 7).real
+    vals, vecs = hermitian_eig(a)
+    assert vecs.dtype == (np.complex128 if kind == "complex" else np.float64)
+    assert np.all(np.diff(vals) <= 0)
+    assert np.linalg.norm(vecs.conj().T @ vecs - np.eye(7)) <= 1e-12
+    assert np.linalg.norm((vecs * vals) @ vecs.conj().T - a) <= 1e-12 * np.linalg.norm(a)
 
 
 # ---- TensorVector container ----

@@ -1,4 +1,6 @@
+import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 from mpshmm import catalog
 from mpshmm.bridge import tensors_from_ehmm
+from mpshmm.linalg import TensorVector
 from mpshmm.mps import (
     SiteTensorSet,
     build_state,
@@ -189,6 +192,19 @@ def test_build_state_peak_memory_near_output_size():
 
 def test_ghz_transfer_norm():
     assert np.isclose(state_norm(catalog.get("ghz").tensors, 3), np.sqrt(2))
+
+
+def test_overflowing_norms_are_inf_without_warnings():
+    # A_0[0, 0] = 1e200: the squares overflow on both routes, as the dense norm does
+    stack = catalog.get("ghz").tensors._stack.copy()
+    stack[0, 0, 0, 0] = 1e200
+    t = SiteTensorSet(stack, translation_invariant=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert build_state(t, 1).norm() == math.inf
+        assert TensorVector((2,), [1e200, 1e-300j]).norm() == math.inf
+        for n in (1, 2, 7):
+            assert state_norm(t, n) == math.inf
 
 
 def test_transfer_norm_matches_dense_for_random_gauged():

@@ -1,10 +1,8 @@
 """Named exact constructions: GHZ, cluster, AKLT, its extracted cousin, and
 a one-parameter family, each as site tensors and (where one exists) a model.
 
-Every default tensor set satisfies the gauge condition exactly.  The
-unit-norm GHZ convention that folds 1/sqrt(2) into site 1 breaks the gauge
-condition there, so it is provided as a separate site-dependent builder
-rather than as the default entry.
+Every tensor set here satisfies the gauge condition exactly, so GHZ keeps its
+raw norm sqrt(2): folding 1/sqrt(2) into site 1 would break the gauge there.
 
 An entry is built once per process: `get` checks its arguments, then returns
 the entry memoized for that name and those theta values (a bounded LRU cache,
@@ -29,7 +27,6 @@ __all__ = [
     "CatalogEntry",
     "NAMES",
     "get",
-    "ghz_normalized_tensors",
     "random_model",
 ]
 
@@ -75,25 +72,11 @@ def _ghz(name: str) -> CatalogEntry:
         notes=(
             "Perfectly correlated qubits: projector tensors at every site, "
             "identity transitions and emissions, uniform start. The raw state "
-            "is |0..0> + |1..1> with norm sqrt(2); the unit-norm convention "
-            "that scales site 1 by 1/sqrt(2) is available via "
-            "ghz_normalized_tensors and noted to break the site-1 gauge "
+            "is |0..0> + |1..1> with norm sqrt(2); scaling site 1 by "
+            "1/sqrt(2) would give a unit norm but break the site-1 gauge "
             "condition."
         ),
     )
-
-
-def ghz_normalized_tensors(n_sites: int) -> SiteTensorSet:
-    """Site-dependent GHZ tensors with 1/sqrt(2) folded into site 1 only.
-
-    Builds a unit-norm state; site 1 deliberately fails the gauge condition
-    (sum_k A_k A_k^dag = I/2 there), which is why this is not the default.
-    """
-    if n_sites < 1:
-        raise ValueError("n_sites must be >= 1")
-    first = (_P0 / _SQ2, _P1 / _SQ2)
-    rest = (_P0.copy(), _P1.copy())
-    return SiteTensorSet((first,) + (rest,) * (n_sites - 1))
 
 
 def _cluster(name: str) -> CatalogEntry:

@@ -48,7 +48,6 @@ __all__ = [
     "Violation",
     "validate",
     "require_valid",
-    "is_unitary",
     "build_psi_hon",
     "build_psi_hn",
     "build_psi_on",
@@ -249,11 +248,6 @@ def _first_non_unitary(stack: np.ndarray) -> int | None:
     gram = stack.conj().transpose(0, 2, 1) @ stack
     gaps = np.linalg.norm(gram - np.eye(stack.shape[-1]), axis=(1, 2))
     return next((l for l, gap in enumerate(gaps, start=1) if gap > ATOL), None)
-
-
-def is_unitary(u: np.ndarray) -> bool:
-    u = as_matrix(u)
-    return u.shape[0] == u.shape[1] and _first_non_unitary(u[None]) is None
 
 
 def _check_cap(

@@ -39,7 +39,6 @@ from .linalg import _require_hermitian, as_matrix, hermitian_eig
 from .mps import SiteTensorSet, _word_sums, build_state
 
 BOUND_SLACK = 1e-8
-EIGEN_FLOOR = -1e-10
 # input validation, not a support cut: eigenvalues below -_PSD_TOL reject the input
 _PSD_TOL = 1e-12
 
@@ -59,7 +58,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Hermitian PSD matrix with its factorization and recorded (not forced) trace."""
+    """Hermitian matrix with its factorization and recorded (not forced) trace.
+
+    Construction checks the shape and Hermiticity only.  The builders here
+    give PSD matrices by construction, and `relative_entropy`, the one
+    consumer that needs a spectrum, checks PSD on every call.
+    """
 
     matrix: np.ndarray = field(repr=False)
     factor_dims: tuple[int, ...]
@@ -70,10 +74,7 @@ class DensityMatrix:
         dims = tuple(int(x) for x in self.factor_dims)
         if mat.shape != (math.prod(dims), math.prod(dims)):
             raise ValueError(f"matrix shape {mat.shape} incompatible with factors {dims}")
-        scale = _require_hermitian(mat, "density matrix")
-        low = float(np.linalg.eigvalsh(mat).min())
-        if low < EIGEN_FLOOR * scale:
-            raise ValueError(f"density matrix has eigenvalue {low}, not PSD")
+        _require_hermitian(mat, "density matrix")
         object.__setattr__(self, "matrix", mat)
         object.__setattr__(self, "factor_dims", dims)
         object.__setattr__(self, "trace_value", float(np.trace(mat).real))
@@ -82,10 +83,26 @@ class DensityMatrix:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def normalized(self) -> "DensityMatrix":
-        if self.trace_value <= 0.0:
-            raise ValueError("cannot normalize a traceless density matrix")
-        return DensityMatrix(self.matrix / self.trace_value, self.factor_dims)
+
+def _require_distribution(pi: np.ndarray, m: int) -> np.ndarray:
+    """``pi`` as a flat float array, after checking it has m finite, non-negative entries."""
+    pi = np.asarray(pi, dtype=np.float64).reshape(-1)
+    if pi.size != m:
+        raise ValueError(f"pi has length {pi.size}, expected {m}")
+    if not (np.isfinite(pi) & (pi >= 0.0)).all():
+        raise ValueError("pi entries must be finite and non-negative")
+    return pi
+
+
+def _unzip_pairs(x: np.ndarray, d: int, n_sites: int) -> np.ndarray:
+    """The (d^N, d^N) matrix of entries indexed by pair words (k1 k1')..(kN kN').
+
+    Entry (word, word') = x at the pair word that interleaves them; one
+    transpose copy of x.
+    """
+    order = [*range(0, 2 * n_sites, 2), *range(1, 2 * n_sites, 2)]
+    n_words = d**n_sites
+    return x.reshape((d,) * (2 * n_sites)).transpose(order).reshape(n_words, n_words)
 
 
 def mps_density(
@@ -113,23 +130,19 @@ def observation_density_formula(
     Entry at (word, word') is sqrt(m) * pi^T (prod_l A_{k_l} o conj(A_{k'_l})) e
     with e the normalized all-ones vector; bra and ket words each run over
     all d^N values independently.  All d^(2N) entries come from one
-    split-half contraction over the d^2 pair symbols (k_l, k'_l).
+    split-half contraction over the d^2 pair symbols (k_l, k'_l).  With pi
+    non-negative the matrix is a sum of Gram matrices, so PSD.
     """
-    pi = np.asarray(pi, dtype=np.float64).reshape(-1)
-    if pi.size != t.m:
-        raise ValueError(f"pi has length {pi.size}, expected {t.m}")
+    pi = _require_distribution(pi, t.m)
     # the pair family A_k o conj(A_k') over d*d symbols (k, k'), one word
     # of pairs per (word, word'), with the pair axes unzipped afterwards
     a = t._stack
     pairs = (a[:, :, None] * a.conj()[:, None]).reshape(len(a), -1, t.m, t.m)
     _check_cap(size_cap, (t.d, 2 * n_sites))
     stacks = _over_sites(pairs, t.translation_invariant, n_sites)
-    n_words = t.d**n_sites
     e_vec = np.ones((t.m, 1)) / math.sqrt(t.m)
     sums = _word_sums(stacks, pi[None], e_vec)
-    order = [*range(0, 2 * n_sites, 2), *range(1, 2 * n_sites, 2)]
-    mat = sums.reshape((t.d,) * (2 * n_sites)).transpose(order).reshape(n_words, n_words)
-    return DensityMatrix(math.sqrt(t.m) * mat, (t.d,) * n_sites)
+    return DensityMatrix(math.sqrt(t.m) * _unzip_pairs(sums, t.d, n_sites), (t.d,) * n_sites)
 
 
 def _hidden_chain_density(model: EhmmModel, n_sites: int, size_cap: int) -> np.ndarray:
@@ -154,14 +167,11 @@ def _hidden_chain_density(model: EhmmModel, n_sites: int, size_cap: int) -> np.n
     _check_cap(size_cap, (m, 1), (d, 2 * n_sites), what="observation-density recursion")
     pairs = _over_sites(pairs, model.translation_invariant, n_sites)
     trans = _over_sites(np.abs(model._hidden) ** 2, model.translation_invariant, n_sites)
-    n_words = d**n_sites
     x = model.pi.astype(np.complex128).reshape(1, m, 1)
     last = trans[-1].sum(axis=1, keepdims=True)
     for trans_l, pairs_l in zip([*trans[:-1], last], pairs):
         x = _chain_step(x, trans_l, pairs_l, sum_hidden=True)
-    # x runs over pair words (k1 k1')..(kN kN'); unzip them to (word, word')
-    order = [*range(0, 2 * n_sites, 2), *range(1, 2 * n_sites, 2)]
-    return x.reshape((d,) * (2 * n_sites)).transpose(order).reshape(n_words, n_words)
+    return _unzip_pairs(x, d, n_sites)
 
 
 def observation_density_trace(
@@ -275,9 +285,7 @@ def bound_rhs(
     words come from two split-half contractions: the dense state, and the
     boundary-vector form over the family |A_k|^2.
     """
-    pi = np.asarray(pi, dtype=np.float64).reshape(-1)
-    if pi.size != t.m:
-        raise ValueError(f"pi has length {pi.size}, expected {t.m}")
+    pi = _require_distribution(pi, t.m)
     psi = build_state(t, n_sites).entries
     p, q = _word_weights(t, pi, n_sites, psi)
     trace = float(p.sum())
@@ -294,28 +302,44 @@ def bound_rhs(
 class BoundReport:
     """Everything measured while checking the entropy lower bound.
 
-    Literal quantities use the density (1/m)|psi><psi| exactly as defined even
-    when its trace is not 1; the *_normalized fields rescale it to unit trace
-    first.  ``holds`` compares the literal pair, ``holds_normalized`` the
-    rescaled one; an infinite divergence satisfies the bound trivially.
+    Stored: the divergences for the unit-trace MPS density, the two traces
+    and whether the hidden stack is unitary.  The literal values, for the
+    density (1/m)|psi><psi| exactly as defined even when its trace t is not
+    1, are derived as t * S + t ln t.  ``holds`` compares the literal pair,
+    ``holds_normalized`` the unit-trace one; an infinite divergence
+    satisfies the bound trivially.
     """
 
-    s_value: float
-    rhs_value: float
-    s_diag: float
-    holds: bool
     trace_rho: float
     trace_sigma: float
     s_value_normalized: float
     rhs_value_normalized: float
     s_diag_normalized: float
-    holds_normalized: bool
-    support_violation: bool
     hidden_unitary: bool
 
     @property
-    def trace_deviation(self) -> float:
-        return abs(self.trace_rho - 1.0)
+    def s_value(self) -> float:
+        return _unscaled(self.s_value_normalized, self.trace_rho)
+
+    @property
+    def rhs_value(self) -> float:
+        return _unscaled(self.rhs_value_normalized, self.trace_rho)
+
+    @property
+    def s_diag(self) -> float:
+        return _unscaled(self.s_diag_normalized, self.trace_rho)
+
+    @property
+    def holds(self) -> bool:
+        return bool(self.s_value >= self.rhs_value - BOUND_SLACK)
+
+    @property
+    def holds_normalized(self) -> bool:
+        return bool(self.s_value_normalized >= self.rhs_value_normalized - BOUND_SLACK)
+
+    @property
+    def support_violation(self) -> bool:
+        return math.isinf(self.s_value)
 
 
 def check_bound(
@@ -359,24 +383,11 @@ def check_bound(
     v = psi / math.sqrt(trace_rho * t.m)
     weights = np.abs(v.conj() @ vecs) ** 2
 
-    s_norm = _divergence(np.ones(1), vals, weights[None])
-    s_diag_norm = _divergence(p, q)
-    rhs_norm = _divergence(p, q_formula)
-    s_value, s_diag, rhs_value = (
-        _unscaled(x, trace_rho) for x in (s_norm, s_diag_norm, rhs_norm)
-    )
-
     return BoundReport(
-        s_value=s_value,
-        rhs_value=rhs_value,
-        s_diag=s_diag,
-        holds=bool(s_value >= rhs_value - BOUND_SLACK),
         trace_rho=trace_rho,
         trace_sigma=float(q.sum()),
-        s_value_normalized=s_norm,
-        rhs_value_normalized=rhs_norm,
-        s_diag_normalized=s_diag_norm,
-        holds_normalized=bool(s_norm >= rhs_norm - BOUND_SLACK),
-        support_violation=math.isinf(s_value),
+        s_value_normalized=_divergence(np.ones(1), vals, weights[None]),
+        rhs_value_normalized=_divergence(p, q_formula),
+        s_diag_normalized=_divergence(p, q),
         hidden_unitary=model.hidden_unitary,
     )

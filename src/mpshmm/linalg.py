@@ -138,8 +138,8 @@ def partial_trace(
     return t.reshape(kept_dim, kept_dim)
 
 
-def _require_hermitian(a: np.ndarray, what: str) -> float:
-    """Scale max(1, |A|_F) of a square matrix, after checking |A - A^H|_F <= ATOL * scale.
+def _require_hermitian(a: np.ndarray, what: str) -> None:
+    """Check |A - A^H|_F <= ATOL * max(1, |A|_F) for a square matrix.
 
     Raises ``ValueError("<what> is not Hermitian within tolerance")`` otherwise.
     A complex A is measured as hypot(|Re A - Re A^T|_F, |Im A + Im A^T|_F),
@@ -153,7 +153,6 @@ def _require_hermitian(a: np.ndarray, what: str) -> float:
         residual = float(np.linalg.norm(a - a.T))
     if residual > ATOL * scale:
         raise ValueError(f"{what} is not Hermitian within tolerance")
-    return scale
 
 
 def hermitian_eig(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

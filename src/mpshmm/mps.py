@@ -89,10 +89,6 @@ class SiteTensorSet:
     def d(self) -> int:
         return len(self.sites[0])
 
-    @property
-    def n_sites(self) -> int | None:
-        return None if self.translation_invariant else len(self.sites)
-
     def site_stack(self, n: int) -> np.ndarray:
         """(n, d, m, m) symbol stack of sites 1..n, by `ehmm._over_sites`."""
         return _over_sites(self._stack, self.translation_invariant, n)

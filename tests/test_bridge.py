@@ -303,7 +303,7 @@ def test_sitewise_measurement_matches_literal_route(m, d):
 
 def test_sitewise_measurement_matches_literal_route_non_unitary():
     model = catalog.get("theta", theta=[0.3, 1.0, 2.0, 0.7, 1.4, 0.2, 2.5]).model
-    assert not all(ehmm.is_unitary(u) for u in model.hidden)
+    assert not model.hidden_unitary
     for n_keep in range(1, 5):
         for n in range(n_keep, n_keep + 4):
             _assert_matches_literal(model, n_keep, n)

@@ -8,6 +8,7 @@ from mpshmm import catalog, serialize
 from mpshmm.bridge import decompose_tensors, tensors_from_ehmm
 from mpshmm.ehmm import validate
 from mpshmm.mps import build_state, gauge_check
+from test_mps import ghz_normalized_tensors
 
 
 def test_ghz_entry_matrices():
@@ -50,7 +51,7 @@ def test_aklt_derived_tensors_match_bundled_model():
 
 def test_theta_entry_per_site_parameters():
     entry = catalog.get("theta", theta=[0.3, 0.9])
-    assert entry.tensors.n_sites == 2
+    assert len(entry.tensors.sites) == 2
     assert np.isclose(entry.tensors.sites[0][0][0, 0], math.cos(0.3))
     assert np.isclose(entry.tensors.sites[1][1][0, 1], math.sin(0.9))
     assert entry.parameters["theta"] == (0.3, 0.9)
@@ -157,7 +158,7 @@ def test_aklt_state_distinct_from_derived_state():
 
 
 def test_ghz_normalized_variant():
-    t = catalog.ghz_normalized_tensors(3)
+    t = ghz_normalized_tensors(3)
     report = gauge_check(t)
     assert not report.passes[0]  # the folded normalization breaks site 1
     assert all(report.passes[1:])

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -25,6 +26,11 @@ from mpshmm.mps import SiteTensorSet, build_state, coefficient
 from test_mps import random_site_tensors
 
 
+def normalized(rho):
+    """The unit-trace copy of a density matrix."""
+    return DensityMatrix(rho.matrix / rho.trace_value, rho.factor_dims)
+
+
 def random_density(rng, dim):
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     rho = g @ g.conj().T
@@ -40,8 +46,11 @@ def test_density_matrix_rejects_non_hermitian():
 
 
 def test_density_matrix_rejects_negative():
-    with pytest.raises(ValueError, match="not PSD"):
-        DensityMatrix(np.diag([1.0, -0.5]), (2,))
+    # the constructor checks shape and Hermiticity; PSD is refused where it is used
+    rho = DensityMatrix(np.diag([1.0, -0.5]), (2,))
+    with pytest.raises(ValueError, match=r"^inputs must be positive semidefinite: smallest "
+                       r"eigenvalue -5\.000e-01 is below -1e-12$"):
+        relative_entropy(rho, DensityMatrix(np.eye(2) / 2, (2,)))
 
 
 # ---- MPS density ----
@@ -229,7 +238,7 @@ def test_bound_rhs_equals_dephased_relative_entropy():
             sigma = observation_density_trace(model, n)
             lhs = relative_entropy(diagonal_channel(rho), diagonal_channel(sigma))
             assert np.isclose(bound_rhs(t, model.pi, n), lhs, atol=1e-10)
-            rho_hat = rho.normalized()
+            rho_hat = normalized(rho)
             lhs_hat = relative_entropy(diagonal_channel(rho_hat), diagonal_channel(sigma))
             assert np.isclose(
                 bound_rhs(t, model.pi, n, trace_normalized=True), lhs_hat, atol=1e-10
@@ -280,7 +289,7 @@ def test_bound_report_flags_trace_deviation():
     # trace 1/2; the report records it rather than hiding it
     rep = check_bound(catalog.get("cluster").model, 3)
     assert np.isclose(rep.trace_rho, 0.5, atol=1e-12)
-    assert rep.trace_deviation > 0.4
+    assert abs(rep.trace_rho - 1.0) > 0.4
 
 
 # ---- check_bound against the literal density-matrix route ----
@@ -297,7 +306,7 @@ def literal_divergences(model, n):
     """(S, S dephased, S normalized, S dephased normalized) by `relative_entropy`."""
     rho = mps_density(tensors_from_ehmm(model, require_unitary=False), n)
     sigma = DensityMatrix(explicit_partial_trace(model, n), (model.d,) * n)
-    rho_hat = rho.normalized()
+    rho_hat = normalized(rho)
     return (
         relative_entropy(rho, sigma),
         relative_entropy(diagonal_channel(rho), diagonal_channel(sigma)),
@@ -600,6 +609,50 @@ def test_bound_rhs_zero_state_cannot_be_trace_normalized():
     assert bound_rhs(t, np.array([0.5, 0.5]), 2) == 0.0
     with pytest.raises(ValueError, match="zero state"):
         bound_rhs(t, np.array([0.5, 0.5]), 2, trace_normalized=True)
+
+
+@pytest.mark.parametrize("pi", [[0.5, math.nan], [-0.5, 1.5], [0.5, math.inf]])
+def test_pi_must_be_finite_and_non_negative(pi):
+    t = tensors_from_ehmm(catalog.get("aklt-derived").model)
+    with pytest.raises(ValueError, match="^pi entries must be finite and non-negative$"):
+        bound_rhs(t, pi, 3)
+    with pytest.raises(ValueError, match="^pi entries must be finite and non-negative$"):
+        observation_density_formula(t, pi, 3)
+    with pytest.raises(ValueError, match="^pi has length 3, expected 2$"):
+        bound_rhs(t, [0.2, 0.3, 0.5], 3)
+
+
+def test_density_builders_need_no_eigendecomposition(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigendecomposition called")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    model = catalog.random_model(2, 2, 3, 5)
+    t = tensors_from_ehmm(model)
+    DensityMatrix(np.diag([1.0, -0.5]), (2,))
+    rho = mps_density(t, 3)
+    assert np.isclose(rho.trace_value, build_state(t, 3).norm() ** 2 / 2)
+    sigma = observation_density_formula(t, model.pi, 3)
+    assert np.abs(sigma.matrix - observation_density_trace(model, 3).matrix).max() <= 1e-12
+    assert np.array_equal(diagonal_channel(sigma).matrix, np.diag(np.diag(sigma.matrix)))
+
+
+def test_bound_report_stores_only_the_unit_trace_triple():
+    names = [f.name for f in dataclasses.fields(entropy.BoundReport)]
+    assert names == [
+        "trace_rho",
+        "trace_sigma",
+        "s_value_normalized",
+        "rhs_value_normalized",
+        "s_diag_normalized",
+        "hidden_unitary",
+    ]
+    rep = check_bound(catalog.get("cluster").model, 3)
+    t = rep.trace_rho
+    for literal, unit in (("s_value", "s_value_normalized"), ("rhs_value", "rhs_value_normalized"),
+                          ("s_diag", "s_diag_normalized")):
+        assert getattr(rep, literal) == t * getattr(rep, unit) + t * math.log(t)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])

@@ -22,6 +22,16 @@ P0 = np.diag([1.0, 0.0]).astype(complex)
 P1 = np.diag([0.0, 1.0]).astype(complex)
 
 
+def ghz_normalized_tensors(n_sites):
+    """Site-dependent GHZ tensors with 1/sqrt(2) folded into site 1 only.
+
+    The state has unit norm; site 1 fails the gauge condition
+    (sum_k A_k A_k^dag = I/2 there).
+    """
+    first = (P0 / math.sqrt(2.0), P1 / math.sqrt(2.0))
+    return SiteTensorSet((first,) + ((P0, P1),) * (n_sites - 1))
+
+
 # ---- gauge condition ----
 
 
@@ -74,7 +84,7 @@ def test_symbol_out_of_range():
 
 
 def test_ghz_normalized_state():
-    t = catalog.ghz_normalized_tensors(4)
+    t = ghz_normalized_tensors(4)
     psi = build_state(t, 4)
     expected = np.zeros(16, dtype=complex)
     expected[0] = expected[-1] = 1 / np.sqrt(2)
@@ -113,7 +123,7 @@ def test_translation_invariant_set_with_several_sites_rejected():
     fam = catalog.get("cluster").tensors.sites[0]
     with pytest.raises(ValueError, match="translation-invariant tensor set stores 2 sites"):
         SiteTensorSet((fam, fam), translation_invariant=True)
-    assert SiteTensorSet((fam, fam)).n_sites == 2
+    assert len(SiteTensorSet((fam, fam)).sites) == 2
 
 
 def test_cyclic_invariance_translation_invariant():

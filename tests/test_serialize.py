@@ -75,17 +75,11 @@ def test_bound_report_document_and_infinities():
     doc = serialize.bound_report_to_dict(check_bound(catalog.get("ghz").model, 2))
     assert doc["holds"] is True
     rep = BoundReport(
-        s_value=math.inf,
-        rhs_value=0.0,
-        s_diag=0.0,
-        holds=True,
         trace_rho=1.0,
         trace_sigma=1.0,
         s_value_normalized=math.inf,
         rhs_value_normalized=0.0,
         s_diag_normalized=0.0,
-        holds_normalized=True,
-        support_violation=True,
         hidden_unitary=False,
     )
     doc = serialize.bound_report_to_dict(rep)
@@ -94,17 +88,11 @@ def test_bound_report_document_and_infinities():
 
 
 _INF_REPORT = BoundReport(
-    s_value=math.inf,
-    rhs_value=0.0,
-    s_diag=math.inf,
-    holds=True,
     trace_rho=1.0,
     trace_sigma=1.0,
     s_value_normalized=math.inf,
     rhs_value_normalized=-0.0,
     s_diag_normalized=math.inf,
-    holds_normalized=True,
-    support_violation=True,
     hidden_unitary=False,
 )
 

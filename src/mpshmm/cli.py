@@ -5,13 +5,15 @@ Subcommands: ``catalog list|export``, ``build-mps``, ``build-ehmm-state``,
 Exit codes: 0 success / bound holds, 1 verification failure (a failed bound,
 round trip or factorization, or a `VerificationError` such as a failed gauge
 condition), 2 usage or I/O error.  Human tables round to 12 significant
-digits; ``--format json`` emits full-precision structured output.  The
-default dense-state size cap comes from the MPSHMM_SIZE_CAP environment
-variable when set; it is read on every `main` call.  The argument grammar is
-built once per process for each default cap, so repeated in-process calls
-pay only for their own work.  Option values are checked as they are parsed:
-a negative or non-finite ``--tol``, a non-positive ``--size-cap`` or a
-non-finite ``--theta`` is a usage error (exit 2).
+digits; ``--format json`` prints only the full-precision JSON document, so
+stdout parses as strict JSON, and the ``wrote FILE`` note of ``--out`` goes
+to stderr.  The default dense-state size cap comes from the MPSHMM_SIZE_CAP
+environment variable when set; it is read on every `main` call.  The
+argument grammar is built once per process for each default cap, so
+repeated in-process calls pay only for their own work.  Option values are
+checked as they are parsed: a negative or non-finite ``--tol``, a
+non-positive ``--size-cap`` or a non-finite ``--theta`` is a usage error
+(exit 2).
 """
 
 from __future__ import annotations
@@ -81,26 +83,17 @@ def _size_cap_default() -> int:
     return cap
 
 
-def _resolve_model(args: argparse.Namespace) -> EhmmModel:
-    if getattr(args, "model", None):
-        return serialize.load_model(args.model)
-    if getattr(args, "name", None):
-        entry = catalog.get(args.name, theta=getattr(args, "theta", None))
-        if entry.model is None:
-            raise ValueError(f"catalog entry {args.name!r} carries no model")
-        return entry.model
-    raise ValueError("provide --model FILE or --name NAME")
-
-
-def _resolve_tensors(args: argparse.Namespace) -> SiteTensorSet:
-    if getattr(args, "tensors", None):
-        return serialize.load_tensors(args.tensors)
-    if getattr(args, "name", None):
-        entry = catalog.get(args.name, theta=getattr(args, "theta", None))
-        if entry.tensors is None:
-            raise ValueError(f"catalog entry {args.name!r} carries no tensors")
-        return entry.tensors
-    raise ValueError("provide --tensors FILE or --name NAME")
+def _resolve(args: argparse.Namespace, kind: str) -> EhmmModel | SiteTensorSet:
+    """The ``kind`` ("model" or "tensors") read from ``--<kind> FILE`` or the ``--name`` entry."""
+    path = getattr(args, kind)
+    if path:
+        return serialize.load_model(path) if kind == "model" else serialize.load_tensors(path)
+    if args.name:
+        value = getattr(catalog.get(args.name, theta=args.theta), kind)
+        if value is None:
+            raise ValueError(f"catalog entry {args.name!r} carries no {kind}")
+        return value
+    raise ValueError(f"provide --{kind} FILE or --name NAME")
 
 
 def _emit_doc(doc: dict, args: argparse.Namespace) -> bool:
@@ -110,7 +103,7 @@ def _emit_doc(doc: dict, args: argparse.Namespace) -> bool:
     """
     if args.out:
         serialize.dump_json(doc, args.out)
-        print(f"wrote {args.out}")
+        print(f"wrote {args.out}", file=sys.stderr)
     if args.format == "json":
         print(serialize.dump_json(doc))
         return True
@@ -175,17 +168,18 @@ def _cmd_catalog(args: argparse.Namespace) -> int:
 
 def _cmd_build_mps(args: argparse.Namespace) -> int:
     if args.tensors or (args.name and not args.model):
-        t = _resolve_tensors(args)
+        t = _resolve(args, "tensors")
     else:
-        t = tensors_from_ehmm(_resolve_model(args), require_unitary=False)
+        t = tensors_from_ehmm(_resolve(args, "model"), require_unitary=False)
     state = build_state(t, args.sites, args.size_cap)
     _emit_state(state, args, f"MPS on {args.sites} sites")
-    print(f"transfer-route norm: {_fmt(state_norm(t, args.sites))}")
+    if args.format == "table":
+        print(f"transfer-route norm: {_fmt(state_norm(t, args.sites))}")
     return 0
 
 
 def _cmd_build_ehmm_state(args: argparse.Namespace) -> int:
-    model = _resolve_model(args)
+    model = _resolve(args, "model")
     builder = {"hon": build_psi_hon, "hn": build_psi_hn, "on": build_psi_on}[args.which]
     state = builder(model, args.n, args.size_cap)
     _emit_state(state, args, f"state '{args.which}' on n={args.n} sites")
@@ -193,7 +187,7 @@ def _cmd_build_ehmm_state(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    model = _resolve_model(args)
+    model = _resolve(args, "model")
     if not model.hidden_unitary:
         print("note: hidden matrices are not unitary; gauge condition not implied")
     t = tensors_from_ehmm(model, require_unitary=False)
@@ -209,7 +203,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_extract(args: argparse.Namespace) -> int:
-    t = _resolve_tensors(args)
+    t = _resolve(args, "tensors")
     extracted = extract_classical_hmm(t)
     if _emit_doc(serialize.extracted_to_dict(extracted), args):
         return 0
@@ -221,7 +215,7 @@ def _cmd_extract(args: argparse.Namespace) -> int:
 
 
 def _cmd_decompose(args: argparse.Namespace) -> int:
-    t = _resolve_tensors(args)
+    t = _resolve(args, "tensors")
     result = decompose_tensors(t, args.tol)
     if _emit_doc(serialize.decomposition_to_dict(result), args):
         return 0 if result.feasible else 1
@@ -241,7 +235,7 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
 
 
 def _cmd_entropy(args: argparse.Namespace) -> int:
-    model = _resolve_model(args)
+    model = _resolve(args, "model")
     report = check_bound(model, args.N, size_cap=args.size_cap)
     if not _emit_doc(serialize.bound_report_to_dict(report), args):
         rows = [

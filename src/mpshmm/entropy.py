@@ -34,7 +34,7 @@ import numpy as np
 
 from .bridge import tensors_from_ehmm
 from .ehmm import DEFAULT_SIZE_CAP, EhmmModel, _chain_step, _check_cap
-from .ehmm import _over_sites
+from .ehmm import PI_SUM_TOL, _over_sites
 from .linalg import _require_hermitian, as_matrix, hermitian_eig
 from .mps import SiteTensorSet, _word_sums, build_state
 
@@ -85,12 +85,19 @@ class DensityMatrix:
 
 
 def _require_distribution(pi: np.ndarray, m: int) -> np.ndarray:
-    """``pi`` as a flat float array, after checking it has m finite, non-negative entries."""
+    """``pi`` as a flat float array, after checking it is a distribution on m states.
+
+    Its m entries must be finite and non-negative and sum to 1 within
+    `PI_SUM_TOL`, the rule a model's pi obeys.
+    """
     pi = np.asarray(pi, dtype=np.float64).reshape(-1)
     if pi.size != m:
         raise ValueError(f"pi has length {pi.size}, expected {m}")
     if not (np.isfinite(pi) & (pi >= 0.0)).all():
         raise ValueError("pi entries must be finite and non-negative")
+    total = float(pi.sum())
+    if abs(total - 1.0) > PI_SUM_TOL:
+        raise ValueError(f"pi entries must sum to 1, got sum {total}")
     return pi
 
 

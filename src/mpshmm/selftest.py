@@ -1,9 +1,12 @@
 """End-to-end verification suite behind the `selftest` command.
 
-Each criterion function returns a :class:`CriterionResult`; `run_all` executes
-them in order and reports one line per criterion.  The same functions back
-the package's acceptance tests so the command-line check and the test suite
-cannot drift apart.
+Each criterion, `criterion_1` to `criterion_8`, is a body that returns
+``(passed, detail)``.  The private `_criterion` runner times the body and
+packs a :class:`CriterionResult`; a criterion with a time limit (criterion
+1, 60 s) fails past it and ends its detail with the elapsed seconds.
+`run_all` executes the criteria in order and reports one line per criterion.
+The same functions back the package's acceptance tests so the command-line
+check and the test suite cannot drift apart.
 """
 
 from __future__ import annotations
@@ -69,9 +72,28 @@ def _criterion_models() -> tuple[tuple[str, EhmmModel], ...]:
     return tuple(models)
 
 
-def criterion_1() -> CriterionResult:
+def _criterion(index: int, name: str, limit_s: float = math.inf):
+    """Time a ``(passed, detail)`` body and pack its result as criterion ``index``."""
+
+    def decorate(body: Callable[..., tuple[bool, str]]) -> Callable[..., CriterionResult]:
+        @functools.wraps(body)
+        def run(*args, **kwargs) -> CriterionResult:
+            start = time.time()
+            passed, detail = body(*args, **kwargs)
+            elapsed = time.time() - start
+            if math.isfinite(limit_s):
+                passed = passed and elapsed <= limit_s
+                detail = f"{detail}, {elapsed:.1f}s"
+            return CriterionResult(index, name, passed, detail, elapsed)
+
+        return run
+
+    return decorate
+
+
+@_criterion(1, "partial-measurement round trip", limit_s=60.0)
+def criterion_1() -> tuple[bool, str]:
     """Partial measurement reproduces the direct MPS build, independent of n."""
-    start = time.time()
     worst = 0.0
     worst_case = ""
     for name, model in _criterion_models():
@@ -90,23 +112,17 @@ def criterion_1() -> CriterionResult:
                 previous = measured
                 if dev > worst:
                     worst, worst_case = dev, f"{name} N={n_keep} n={n}"
-    elapsed = time.time() - start
-    passed = worst <= 1e-10 and elapsed <= 60.0
-    return CriterionResult(
-        1,
-        "partial-measurement round trip",
-        passed,
-        f"max deviation {worst:.3e} ({worst_case}), {elapsed:.1f}s",
-        elapsed,
-    )
+    return worst <= 1e-10, f"max deviation {worst:.3e} ({worst_case})"
 
 
-def criterion_2() -> CriterionResult:
+@_criterion(2, "gauge and extraction fixtures")
+def criterion_2() -> tuple[bool, str]:
     """Extraction fixtures and gauge condition across the whole catalog."""
-    start = time.time()
     failures: list[str] = []
+    names = ("aklt", "ghz", "cluster", "aklt-derived")
+    tensor_sets = [catalog.get(name).tensors for name in names]
 
-    aklt = extract_classical_hmm(catalog.get("aklt").tensors)
+    aklt = extract_classical_hmm(tensor_sets[0])
     pi_expected = np.array([[1, 2], [2, 1]]) / 3.0
     q_expected = np.array([[2, 1, 0], [0, 1, 2]]) / 3.0
     dev_pi = float(np.max(np.abs(aklt.transitions[0] - pi_expected)))
@@ -115,7 +131,8 @@ def criterion_2() -> CriterionResult:
         failures.append(f"aklt extraction off by {max(dev_pi, dev_q):.2e}")
 
     for th in (math.pi / 6, math.pi / 4, math.pi / 3):
-        ex = extract_classical_hmm(catalog.get("theta", theta=th).tensors)
+        tensor_sets.append(catalog.get("theta", theta=th).tensors)
+        ex = extract_classical_hmm(tensor_sets[-1])
         c2, s2 = math.cos(th) ** 2, math.sin(th) ** 2
         dev = max(
             float(np.max(np.abs(ex.transitions[0] - np.array([[c2, s2], [0, 1]])))),
@@ -124,29 +141,19 @@ def criterion_2() -> CriterionResult:
         if dev > 1e-15:
             failures.append(f"theta({th:.3f}) extraction off by {dev:.2e}")
 
-    tensor_sets = [
-        ("ghz", catalog.get("ghz").tensors),
-        ("cluster", catalog.get("cluster").tensors),
-        ("aklt", catalog.get("aklt").tensors),
-        ("aklt-derived", catalog.get("aklt-derived").tensors),
-    ] + [
-        (f"theta({th:.3f})", catalog.get("theta", theta=th).tensors)
-        for th in (math.pi / 6, math.pi / 4, math.pi / 3)
-    ]
-    worst_gauge = max(gauge_check(t).max_deviation for _, t in tensor_sets)
+    worst_gauge = max(gauge_check(t).max_deviation for t in tensor_sets)
     if worst_gauge > 1e-12:
         failures.append(f"catalog gauge deviation {worst_gauge:.2e}")
 
-    elapsed = time.time() - start
     detail = f"extraction devs {dev_pi:.1e}/{dev_q:.1e}, worst gauge {worst_gauge:.1e}"
     if failures:
         detail = "; ".join(failures)
-    return CriterionResult(2, "gauge and extraction fixtures", not failures, detail, elapsed)
+    return not failures, detail
 
 
-def criterion_3() -> CriterionResult:
+@_criterion(3, "factorization feasibility")
+def criterion_3() -> tuple[bool, str]:
     """AKLT tensors cannot factor; cluster tensors factor with Hadamard moduli."""
-    start = time.time()
     failures: list[str] = []
     aklt = decompose_tensors(catalog.get("aklt").tensors)
     if aklt.feasible:
@@ -163,25 +170,19 @@ def criterion_3() -> CriterionResult:
             failures.append(f"cluster |U| deviates {mod_dev:.2e}")
         if cluster.reconstruction_error > 1e-10:
             failures.append(f"cluster reconstruction error {cluster.reconstruction_error:.2e}")
-    elapsed = time.time() - start
     detail = (
         f"aklt sigma2 {aklt.witness.sigma2:.4f}; cluster recon "
         f"{cluster.reconstruction_error if cluster.feasible else float('nan'):.2e}"
         if not failures
         else "; ".join(failures)
     )
-    return CriterionResult(3, "factorization feasibility", not failures, detail, elapsed)
+    return not failures, detail
 
 
-def criterion_4() -> CriterionResult:
+@_criterion(4, "observation-density cross-check")
+def criterion_4() -> tuple[bool, str]:
     """Transfer-formula observation density equals the partial-trace route."""
-    start = time.time()
-    models = [
-        ("ghz", catalog.get("ghz").model),
-        ("cluster", catalog.get("cluster").model),
-        ("aklt-derived", catalog.get("aklt-derived").model),
-        ("theta(pi/3)", catalog.get("theta", theta=math.pi / 3).model),
-    ]
+    models = list(_criterion_models()[:4])
     for seed in range(100, 105):
         m, d = RANDOM_SHAPES[seed % len(RANDOM_SHAPES)]
         models.append((f"random(seed={seed})", catalog.random_model(m, d, 4, seed)))
@@ -196,19 +197,12 @@ def criterion_4() -> CriterionResult:
             dev = float(np.max(np.abs(formula.matrix - traced.matrix)))
             if dev > worst:
                 worst, worst_case = dev, f"{name} N={n_sites}"
-    elapsed = time.time() - start
-    return CriterionResult(
-        4,
-        "observation-density cross-check",
-        worst <= 1e-12,
-        f"max deviation {worst:.3e} ({worst_case})",
-        elapsed,
-    )
+    return worst <= 1e-12, f"max deviation {worst:.3e} ({worst_case})"
 
 
-def criterion_5() -> CriterionResult:
+@_criterion(5, "entropy lower bound")
+def criterion_5() -> tuple[bool, str]:
     """Entropy lower bound: GHZ closed form plus the whole model roster."""
-    start = time.time()
     failures: list[str] = []
 
     ghz_report = check_bound(catalog.get("ghz").model, 3)
@@ -230,14 +224,13 @@ def criterion_5() -> CriterionResult:
             if identity_dev > 1e-10:
                 failures.append(f"{name} N={n_sites}: RHS/diagonal mismatch {identity_dev:.2e}")
             worst_identity = max(worst_identity, identity_dev)
-    elapsed = time.time() - start
     detail = (
         f"GHZ S={ghz_report.s_value:.9f}, RHS={ghz_report.rhs_value:.1e}; "
         f"min normalized gap {worst_gap:.3e}; max RHS identity dev {worst_identity:.1e}"
         if not failures
         else "; ".join(failures[:4])
     )
-    return CriterionResult(5, "entropy lower bound", not failures, detail, elapsed)
+    return not failures, detail
 
 
 def _random_density(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -246,9 +239,9 @@ def _random_density(rng: np.random.Generator, dim: int) -> np.ndarray:
     return rho / np.trace(rho).real
 
 
-def criterion_6() -> CriterionResult:
+@_criterion(6, "data processing inequality")
+def criterion_6() -> tuple[bool, str]:
     """Data processing: dephasing and partial trace never increase divergence."""
-    start = time.time()
     worst = -math.inf
     cases = 0
     for idx in range(50):
@@ -270,19 +263,12 @@ def criterion_6() -> CriterionResult:
         )
         worst = max(worst, s_deph - s_full, s_red - s_full)
         cases += 1
-    elapsed = time.time() - start
-    return CriterionResult(
-        6,
-        "data processing inequality",
-        worst <= 1e-8,
-        f"{cases} pairs, max channel excess {worst:.3e}",
-        elapsed,
-    )
+    return worst <= 1e-8, f"{cases} pairs, max channel excess {worst:.3e}"
 
 
-def criterion_7() -> CriterionResult:
+@_criterion(7, "unit vectors and observation route")
+def criterion_7() -> tuple[bool, str]:
     """Joint states are unit vectors; observation route consistency."""
-    start = time.time()
     worst_norm = 0.0
     worst_route = 0.0
     for _, model in _criterion_models():
@@ -294,20 +280,13 @@ def criterion_7() -> CriterionResult:
             worst_route = max(
                 worst_route, float(np.max(np.abs(via_pip.entries - direct.entries)))
             )
-    elapsed = time.time() - start
     passed = worst_norm <= 1e-10 and worst_route <= 1e-10
-    return CriterionResult(
-        7,
-        "unit vectors and observation route",
-        passed,
-        f"max |norm-1| {worst_norm:.2e}, route dev {worst_route:.2e}",
-        elapsed,
-    )
+    return passed, f"max |norm-1| {worst_norm:.2e}, route dev {worst_route:.2e}"
 
 
-def criterion_8(fixture_path: str | Path | None = None) -> CriterionResult:
+@_criterion(8, "distinctness of rebuilt state")
+def criterion_8(fixture_path: str | Path | None = None) -> tuple[bool, str]:
     """The rebuilt tensors generate a state distinct from the original AKLT state."""
-    start = time.time()
     psi = build_state(catalog.get("aklt").tensors, 3)
     psi_new = build_state(catalog.get("aklt-derived").tensors, 3)
     overlap = abs(psi.inner(psi_new)) / (psi.norm() * psi_new.norm())
@@ -326,14 +305,7 @@ def criterion_8(fixture_path: str | Path | None = None) -> CriterionResult:
             path.parent.mkdir(parents=True, exist_ok=True)
             path.write_text(json.dumps({"normalized_overlap": overlap}, indent=2) + "\n")
             note = "; fixture written"
-    elapsed = time.time() - start
-    return CriterionResult(
-        8,
-        "distinctness of rebuilt state",
-        passed,
-        f"normalized overlap {overlap:.12f}{note}",
-        elapsed,
-    )
+    return passed, f"normalized overlap {overlap:.12f}{note}"
 
 
 def criterion_functions(

@@ -68,6 +68,28 @@ def test_entropy_json_format(capsys):
     assert doc["holds"] is True
 
 
+@pytest.mark.parametrize("with_out", [False, True], ids=["stdout", "out-file"])
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["build-mps", "--name", "ghz", "--sites", "2"], 0),
+        (["build-ehmm-state", "--name", "ghz", "--n", "2"], 0),
+        (["extract", "--name", "aklt"], 0),
+        (["decompose", "--name", "aklt"], 1),
+        (["entropy", "--name", "ghz", "--N", "2"], 0),
+    ],
+    ids=["build-mps", "build-ehmm-state", "extract", "decompose", "entropy"],
+)
+def test_json_stdout_is_one_strict_document(tmp_path, capsys, argv, code, with_out):
+    path = tmp_path / "doc.json"
+    assert main([*argv, "--format", "json", *(["--out", str(path)] if with_out else [])]) == code
+    captured = capsys.readouterr()
+    doc = json.loads(captured.out)
+    if with_out:
+        assert json.loads(path.read_text()) == doc
+        assert captured.err == f"wrote {path}\n"
+
+
 def test_export_import_round_trip(tmp_path, capsys):
     assert main(["catalog", "export", "cluster", "--dir", str(tmp_path)]) == 0
     capsys.readouterr()

@@ -622,6 +622,14 @@ def test_pi_must_be_finite_and_non_negative(pi):
         bound_rhs(t, [0.2, 0.3, 0.5], 3)
 
 
+@pytest.mark.parametrize("pi, total", [([2.0, 2.0], 4.0), ([0.0, 0.0], 0.0)])
+def test_pi_must_sum_to_one(pi, total):
+    t = tensors_from_ehmm(catalog.get("aklt-derived").model)
+    for build in (bound_rhs, observation_density_formula):
+        with pytest.raises(ValueError, match=f"^pi entries must sum to 1, got sum {total}$"):
+            build(t, pi, 3)
+
+
 def test_density_builders_need_no_eigendecomposition(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("eigendecomposition called")

@@ -1,6 +1,8 @@
 import importlib
 import pkgutil
+import re
 import types
+from pathlib import Path
 
 import pytest
 
@@ -25,3 +27,14 @@ def test_package_exports_come_from_module_exports():
         value = getattr(mpshmm, name)
         assert isinstance(value, types.ModuleType) or name in exported, name
     assert len(set(mpshmm.__all__)) == len(mpshmm.__all__)
+
+
+def test_package_exports_are_the_readme_api():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    imported = {
+        name.strip()
+        for names in re.findall(r"^from mpshmm import (.+)$", readme, flags=re.M)
+        for name in names.split(",")
+    }
+    assert set(mpshmm.__all__) == imported | {"EhmmModel", "SiteTensorSet", "serialize"}
+    assert len(mpshmm.__all__) == 10

@@ -7,9 +7,8 @@ round trip or factorization, or a `VerificationError` such as a failed gauge
 condition), 2 usage or I/O error.  Human tables round to 12 significant
 digits; ``--format json`` prints only the full-precision JSON document, so
 stdout parses as strict JSON, and the ``wrote FILE`` note of ``--out`` goes
-to stderr.  The default dense-state size cap comes from the MPSHMM_SIZE_CAP
-environment variable when set; it is read on every `main` call.  The
-argument grammar is built once per process for each default cap, so
+to stderr.  The dense-state size cap is ``--size-cap``, by default
+`DEFAULT_SIZE_CAP`.  The argument grammar is built once per process, so
 repeated in-process calls pay only for their own work.  Option values are
 checked as they are parsed: a negative or non-finite ``--tol``, a
 non-positive ``--size-cap`` or a non-finite ``--theta`` is a usage error
@@ -22,7 +21,6 @@ import argparse
 import functools
 import itertools
 import math
-import os
 import sys
 from pathlib import Path
 from typing import Any, Callable, Sequence
@@ -68,19 +66,6 @@ def _print_matrix(label: str, mat: np.ndarray) -> None:
     print(label)
     for row in np.asarray(mat):
         print("  [" + ", ".join(_fmt_complex(complex(z)) for z in row) + "]")
-
-
-def _size_cap_default() -> int:
-    env = os.environ.get("MPSHMM_SIZE_CAP")
-    if not env:
-        return DEFAULT_SIZE_CAP
-    try:
-        cap = int(env)
-    except ValueError:
-        cap = 0
-    if cap < 1:
-        raise ValueError(f"MPSHMM_SIZE_CAP must be a positive integer, got {env!r}")
-    return cap
 
 
 def _resolve(args: argparse.Namespace, kind: str) -> EhmmModel | SiteTensorSet:
@@ -300,11 +285,9 @@ _theta_list = _checked(
 
 
 @functools.cache
-def _build_parser(size_cap: int) -> argparse.ArgumentParser:
-    """The full grammar with ``size_cap`` as the ``--size-cap`` default.
-
-    Cached per cap: a parser holds no per-call state, because every
-    `parse_args` call fills a fresh namespace.
+def _build_parser() -> argparse.ArgumentParser:
+    """The full grammar, built once: a parser holds no per-call state,
+    because every `parse_args` call fills a fresh namespace.
     """
     parser = argparse.ArgumentParser(
         prog="mpshmm",
@@ -339,7 +322,7 @@ def _build_parser(size_cap: int) -> argparse.ArgumentParser:
     p_bm.add_argument("--model", help="model JSON file (tensors derived from it)")
     add_name(p_bm)
     p_bm.add_argument("--sites", type=int, required=True)
-    p_bm.add_argument("--size-cap", type=_positive_int, default=size_cap)
+    p_bm.add_argument("--size-cap", type=_positive_int, default=DEFAULT_SIZE_CAP)
     add_common(p_bm)
     p_bm.set_defaults(func=_cmd_build_mps)
 
@@ -348,7 +331,7 @@ def _build_parser(size_cap: int) -> argparse.ArgumentParser:
     add_name(p_be)
     p_be.add_argument("--n", type=int, required=True)
     p_be.add_argument("--which", choices=("hon", "hn", "on"), default="hon")
-    p_be.add_argument("--size-cap", type=_positive_int, default=size_cap)
+    p_be.add_argument("--size-cap", type=_positive_int, default=DEFAULT_SIZE_CAP)
     add_common(p_be)
     p_be.set_defaults(func=_cmd_build_ehmm_state)
 
@@ -359,7 +342,7 @@ def _build_parser(size_cap: int) -> argparse.ArgumentParser:
     p_ver.add_argument("--N", type=int, required=True, help="number of kept sites")
     p_ver.add_argument("--n", type=_int_list, required=True, help="joint-state lengths, e.g. 3,4,5")
     p_ver.add_argument("--tol", type=_tolerance, default=1e-10)
-    p_ver.add_argument("--size-cap", type=_positive_int, default=size_cap)
+    p_ver.add_argument("--size-cap", type=_positive_int, default=DEFAULT_SIZE_CAP)
     p_ver.set_defaults(func=_cmd_verify)
 
     p_ex = sub.add_parser("extract", help="classical transition/emission matrices")
@@ -379,7 +362,7 @@ def _build_parser(size_cap: int) -> argparse.ArgumentParser:
     p_ent.add_argument("--model")
     add_name(p_ent)
     p_ent.add_argument("--N", type=int, required=True)
-    p_ent.add_argument("--size-cap", type=_positive_int, default=size_cap)
+    p_ent.add_argument("--size-cap", type=_positive_int, default=DEFAULT_SIZE_CAP)
     add_common(p_ent)
     p_ent.set_defaults(func=_cmd_entropy)
 
@@ -392,7 +375,7 @@ def _build_parser(size_cap: int) -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     try:
-        args = _build_parser(_size_cap_default()).parse_args(argv)
+        args = _build_parser().parse_args(argv)
         return args.func(args)
     except (ValueError, KeyError, OSError) as exc:
         # str() of a KeyError is the repr of its argument, quotes included

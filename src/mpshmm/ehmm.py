@@ -6,6 +6,11 @@ amplitudes chi with unit-norm rows, held as read-only (L, m, m) and (L, m, d)
 stacks over the L stored sites, so that per-site checks and factors such as
 |U|^2 (the classical transitions) are one array operation each.
 
+A model is checked once, when it is built, by `require_valid`: it raises at
+the first problem, in the order pi, site counts, then the hidden and the
+emission matrices site by site, as ``invalid model: <location>: <message>``.
+Its pi rule is also the one for formulas that take pi apart from a model.
+
 Every route in the package takes sites 1..n of a stack from one rule,
 `_over_sites`: a translation-invariant stack (L = 1) serves any n >= 1 as a
 broadcast view, a site-dependent one 1 <= n <= L, and any other n raises one
@@ -45,8 +50,6 @@ PI_SUM_TOL = 1e-12
 __all__ = [
     "DEFAULT_SIZE_CAP",
     "EhmmModel",
-    "Violation",
-    "validate",
     "require_valid",
     "build_psi_hon",
     "build_psi_hn",
@@ -76,12 +79,9 @@ class EhmmModel:
     _tensors: SiteTensorSet | None = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        pi = np.array(np.reshape(self.pi, -1), dtype=np.float64)
-        # tuple() copies an array given as a family into the stack rather than adopting it
-        hidden, emission = _as_family(tuple(self.hidden)), _as_family(tuple(self.emission))
-        if not len(hidden) or not len(emission):
-            raise ValueError("model needs at least one site pair")
-        require_valid(pi, hidden, emission, self.translation_invariant)
+        pi, hidden, emission = require_valid(
+            self.pi, self.hidden, self.emission, self.translation_invariant
+        )
         pi.flags.writeable = hidden.flags.writeable = emission.flags.writeable = False
         object.__setattr__(self, "pi", pi)
         object.__setattr__(self, "_hidden", hidden)
@@ -128,119 +128,81 @@ def _over_sites(stack: np.ndarray, translation_invariant: bool, n: int) -> np.nd
     return stack[:n]
 
 
-@dataclass(frozen=True)
-class Violation:
-    location: str
-    message: str
-    magnitude: float
+def _invalid(location: str, message: str) -> ValueError:
+    return ValueError(f"invalid model: {location}: {message}")
 
 
-def _as_family(mats: Sequence) -> np.ndarray | list[np.ndarray]:
-    """One matrix family as finite complex128 matrices: a sequence of one shape
-    stacked into a new (L, rows, cols) array, a 3-d array taken as such a stack,
-    and a family of mixed shapes, which no valid model has, left a list.
+def _require_pi(pi: np.ndarray | Sequence, m: int) -> np.ndarray:
+    """``pi`` as a new flat float64 array, after checking it is a distribution on m states.
+
+    The one pi rule, for models and for the formulas that take pi apart from
+    one: length m, finite and non-negative entries, and a sum within
+    `PI_SUM_TOL` of 1.  Raises at the first problem.
     """
-    if not (isinstance(mats, np.ndarray) and mats.ndim == 3):
-        family = [np.asarray(a, dtype=np.complex128) for a in mats]
-        if len({a.shape for a in family}) != 1 or family[0].ndim != 2:
-            return [as_matrix(a) for a in family]
-        mats = np.array(family)
-    if not np.isfinite(mats).all():
-        raise ValueError("matrix entries must be finite")
-    return mats.astype(np.complex128, copy=False)
-
-
-def _row_violations(
-    kind: str, family: np.ndarray | list[np.ndarray], shape: tuple[int, int]
-) -> list[Violation]:
-    """Shape and unit-row-norm violations of one matrix family, in site order.
-
-    The squared-modulus row sums of every matrix of the expected shape come
-    from one reduction over their stack.  An entry too large to square gives
-    an infinite sum, which is a violation, not a warning.
-    """
-    fits = [a.shape == shape for a in family]
-    sites = [idx for idx, fit in enumerate(fits, start=1) if fit]
-    stack = np.asarray(family) if all(fits) else np.array([family[s - 1] for s in sites])
-    with np.errstate(over="ignore"):
-        sums = (np.abs(stack.reshape(-1, shape[1])) ** 2).sum(axis=1)
-    dev = np.abs(sums - 1.0)
-    by_site: dict[int, list[Violation]] = {}
-    for r in np.flatnonzero(dev > ROW_NORM_TOL):
-        site, row = sites[r // shape[0]], r % shape[0]
-        by_site.setdefault(site, []).append(
-            Violation(f"{kind}[{site}] row {row}", f"squared-modulus row sum = {sums[r]}", dev[r])
-        )
-    out: list[Violation] = []
-    for idx, (a, fit) in enumerate(zip(family, fits), start=1):
-        if not fit:
-            out.append(Violation(f"{kind}[{idx}]", f"shape {a.shape} != {shape}", 0.0))
-        out += by_site.get(idx, [])
-    return out
-
-
-def validate(
-    pi: np.ndarray,
-    hidden: tuple[np.ndarray, ...],
-    emission: tuple[np.ndarray, ...],
-    translation_invariant: bool = False,
-) -> list[Violation]:
-    """Check every model invariant of the `EhmmModel` arguments; empty means valid."""
-    out: list[Violation] = []
-    pi = np.asarray(pi, dtype=np.float64).reshape(-1)
-    hidden, emission = _as_family(hidden), _as_family(emission)
-    m, d = hidden[0].shape[0], emission[0].shape[1]
-
+    pi = np.array(np.reshape(pi, -1), dtype=np.float64)
     if pi.size != m:
-        out.append(Violation("pi", f"length {pi.size} != hidden dim {m}", abs(pi.size - m)))
+        raise _invalid("pi", f"length {pi.size} != hidden dim {m}")
     finite = np.isfinite(pi)
     if not finite.all():
-        bad = pi[~finite][0]
-        out.append(Violation("pi", f"non-finite entry {bad}", math.inf))
-    else:
-        neg = float(pi.min(initial=0.0))
-        if neg < 0:
-            out.append(Violation("pi", f"negative entry {neg}", -neg))
-        s = float(pi.sum())
-        if abs(s - 1.0) > PI_SUM_TOL:
-            out.append(Violation("pi", f"pi sum = {s}", abs(s - 1.0)))
+        raise _invalid("pi", f"non-finite entry {pi[~finite][0]}")
+    neg = float(pi.min(initial=0.0))
+    if neg < 0:
+        raise _invalid("pi", f"negative entry {neg}")
+    total = float(pi.sum())
+    if abs(total - 1.0) > PI_SUM_TOL:
+        raise _invalid("pi", f"pi sum = {total}")
+    return pi
 
-    if len(hidden) != len(emission):
-        out.append(
-            Violation(
-                "sites",
-                f"{len(hidden)} hidden vs {len(emission)} emission matrices",
-                abs(len(hidden) - len(emission)),
-            )
-        )
-    stored = max(len(hidden), len(emission))
-    if translation_invariant and stored > 1:
-        out.append(
-            Violation(
-                "sites",
-                f"translation-invariant model stores {stored} site pairs, expected 1",
-                stored - 1,
-            )
-        )
-    out += _row_violations("hidden", hidden, (m, m))
-    out += _row_violations("emission", emission, (m, d))
-    return out
+
+def _unit_row_stack(kind: str, family: list[np.ndarray], shape: tuple[int, int]) -> np.ndarray:
+    """A family of matrices as a new (L, rows, cols) stack with unit-norm rows.
+
+    Raises at the first problem, site by site: a row whose squared moduli do
+    not sum to 1 within `ROW_NORM_TOL`, or a matrix of another shape.  The
+    row sums of the matrices before the first misshapen one come from one
+    reduction over their stack; an entry too large to square gives an
+    infinite sum, a problem, not a warning.
+    """
+    fit = next((l for l, a in enumerate(family) if a.shape != shape), len(family))
+    stack = np.array(family[:fit]) if fit else np.zeros((0, *shape), dtype=np.complex128)
+    with np.errstate(over="ignore"):
+        sums = (np.abs(stack) ** 2).sum(axis=-1)
+    bad = np.flatnonzero(np.abs(sums - 1.0) > ROW_NORM_TOL)
+    if bad.size:
+        site, row = divmod(int(bad[0]), shape[0])
+        message = f"squared-modulus row sum = {sums[site, row]}"
+        raise _invalid(f"{kind}[{site + 1}] row {row}", message)
+    if fit < len(family):
+        raise _invalid(f"{kind}[{fit + 1}]", f"shape {family[fit].shape} != {shape}")
+    return stack
 
 
 def require_valid(
-    pi: np.ndarray,
-    hidden: tuple[np.ndarray, ...],
-    emission: tuple[np.ndarray, ...],
+    pi: np.ndarray | Sequence,
+    hidden: Sequence,
+    emission: Sequence,
     translation_invariant: bool = False,
-) -> None:
-    """Raise `ValueError` naming the first violation of `validate`, if any."""
-    report = validate(pi, hidden, emission, translation_invariant)
-    if report:
-        first = report[0]
-        raise ValueError(
-            f"invalid model ({len(report)} violation(s)); first: "
-            f"{first.location}: {first.message}"
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """pi and the (L, m, m) hidden and (L, m, d) emission stacks of a valid model, as new arrays.
+
+    Every matrix must be a finite 2-d array.  Raises `ValueError`
+    ``invalid model: <location>: <message>`` at the first problem, in this
+    order: pi, the site counts, then the hidden and the emission matrices,
+    site by site.
+    """
+    hidden, emission = [as_matrix(u) for u in hidden], [as_matrix(c) for c in emission]
+    if not hidden or not emission:
+        raise ValueError("model needs at least one site pair")
+    m, d = hidden[0].shape[0], emission[0].shape[1]
+    pi = _require_pi(pi, m)
+    if len(hidden) != len(emission):
+        raise _invalid("sites", f"{len(hidden)} hidden vs {len(emission)} emission matrices")
+    if translation_invariant and len(hidden) > 1:
+        raise _invalid(
+            "sites", f"translation-invariant model stores {len(hidden)} site pairs, expected 1"
         )
+    hidden = _unit_row_stack("hidden", hidden, (m, m))
+    return pi, hidden, _unit_row_stack("emission", emission, (m, d))
 
 
 def _first_non_unitary(stack: np.ndarray) -> int | None:

@@ -33,8 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bridge import tensors_from_ehmm
-from .ehmm import DEFAULT_SIZE_CAP, EhmmModel, _chain_step, _check_cap
-from .ehmm import PI_SUM_TOL, _over_sites
+from .ehmm import DEFAULT_SIZE_CAP, EhmmModel, _chain_step, _check_cap, _over_sites, _require_pi
 from .linalg import _require_hermitian, as_matrix, hermitian_eig
 from .mps import SiteTensorSet, _word_sums, build_state
 
@@ -84,23 +83,6 @@ class DensityMatrix:
         return self.matrix.shape[0]
 
 
-def _require_distribution(pi: np.ndarray, m: int) -> np.ndarray:
-    """``pi`` as a flat float array, after checking it is a distribution on m states.
-
-    Its m entries must be finite and non-negative and sum to 1 within
-    `PI_SUM_TOL`, the rule a model's pi obeys.
-    """
-    pi = np.asarray(pi, dtype=np.float64).reshape(-1)
-    if pi.size != m:
-        raise ValueError(f"pi has length {pi.size}, expected {m}")
-    if not (np.isfinite(pi) & (pi >= 0.0)).all():
-        raise ValueError("pi entries must be finite and non-negative")
-    total = float(pi.sum())
-    if abs(total - 1.0) > PI_SUM_TOL:
-        raise ValueError(f"pi entries must sum to 1, got sum {total}")
-    return pi
-
-
 def _unzip_pairs(x: np.ndarray, d: int, n_sites: int) -> np.ndarray:
     """The (d^N, d^N) matrix of entries indexed by pair words (k1 k1')..(kN kN').
 
@@ -140,7 +122,7 @@ def observation_density_formula(
     split-half contraction over the d^2 pair symbols (k_l, k'_l).  With pi
     non-negative the matrix is a sum of Gram matrices, so PSD.
     """
-    pi = _require_distribution(pi, t.m)
+    pi = _require_pi(pi, t.m)
     # the pair family A_k o conj(A_k') over d*d symbols (k, k'), one word
     # of pairs per (word, word'), with the pair axes unzipped afterwards
     a = t._stack
@@ -292,7 +274,7 @@ def bound_rhs(
     words come from two split-half contractions: the dense state, and the
     boundary-vector form over the family |A_k|^2.
     """
-    pi = _require_distribution(pi, t.m)
+    pi = _require_pi(pi, t.m)
     psi = build_state(t, n_sites).entries
     p, q = _word_weights(t, pi, n_sites, psi)
     trace = float(p.sum())

@@ -202,7 +202,11 @@ def state_norm(t: SiteTensorSet, n_sites: int) -> float:
     each computed once per stored site.  A product that overflows gives inf,
     as the dense norm does, with no warning: the entries are finite, so a nan
     can only come from an inf met by a zero or by an inf of the other sign.
+    The loop takes one step per site, so a site count above `DEFAULT_SIZE_CAP`
+    is refused before any site is spread.
     """
+    if n_sites > DEFAULT_SIZE_CAP:
+        raise ValueError(f"{n_sites} sites exceed size cap {DEFAULT_SIZE_CAP}")
     a = t._stack
     m2 = t.m * t.m
     with np.errstate(over="ignore", invalid="ignore"):

@@ -151,12 +151,6 @@ def test_unknown_command_exits_two():
     assert info.value.code == 2
 
 
-def test_size_cap_environment_variable(monkeypatch, capsys):
-    monkeypatch.setenv("MPSHMM_SIZE_CAP", "4")
-    assert main(["build-mps", "--name", "ghz", "--sites", "3"]) == 2
-    assert "size cap" in capsys.readouterr().err
-
-
 def test_selftest_command(capsys):
     assert main(["selftest"]) == 0
     out = capsys.readouterr().out
@@ -180,14 +174,6 @@ def test_malformed_model_file_is_one_line_usage_error(tmp_path, capsys, text, me
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert re.search(message, err)
-
-
-@pytest.mark.parametrize("value", ["abc", "0", "-3", "1.5"])
-def test_bad_size_cap_environment_variable_is_usage_error(monkeypatch, capsys, value):
-    monkeypatch.setenv("MPSHMM_SIZE_CAP", value)
-    assert main(["catalog", "list"]) == 2
-    err = capsys.readouterr().err
-    assert err == f"error: MPSHMM_SIZE_CAP must be a positive integer, got {value!r}\n"
 
 
 def test_unknown_catalog_name_message_is_unquoted(capsys):
@@ -306,10 +292,27 @@ def test_invalid_model_file_is_refused_before_any_output(tmp_path, capsys, argv)
     assert main([*argv, "--model", str(path)]) == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == (
-        "error: invalid model (1 violation(s)); first: "
-        "hidden[1] row 0: squared-modulus row sum = 0.36\n"
-    )
+    assert err == "error: invalid model: hidden[1] row 0: squared-modulus row sum = 0.36\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["entropy", "--N", "2"],
+        ["build-mps", "--sites", "2"],
+        ["verify", "theorem1", "--N", "2", "--n", "2"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_zero_width_model_file_is_refused_by_name(tmp_path, capsys, argv):
+    doc = serialize.model_to_dict(catalog.get("ghz").model)
+    doc["emission"] = [[[], []]]  # d = 0
+    path = tmp_path / "empty.json"
+    serialize.dump_json(doc, path)
+    assert main([*argv, "--model", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: invalid model: emission[1] row 0: squared-modulus row sum = 0.0\n"
 
 
 def test_gauge_failure_is_a_verification_failure(tmp_path, capsys):
@@ -513,14 +516,11 @@ def test_json_call_leaves_no_state_for_the_next_call(capsys):
     ]
 
 
-def test_size_cap_environment_variable_is_read_on_every_call(monkeypatch, capsys):
+def test_size_cap_option_is_read_on_every_call(capsys):
+    # the grammar is built once; a cap given to one call does not carry to the next
     argv = ["build-mps", "--name", "ghz", "--sites", "3"]
-    monkeypatch.setenv("MPSHMM_SIZE_CAP", "4")
-    assert _run(argv, capsys)[0] == 2
-    monkeypatch.delenv("MPSHMM_SIZE_CAP")
+    assert _run([*argv, "--size-cap", "4"], capsys)[0] == 2
     assert _run(argv, capsys)[0] == 0
-    monkeypatch.setenv("MPSHMM_SIZE_CAP", "-1")
-    assert _run(argv, capsys)[0] == 2
 
 
 def test_state_out_file_round_trips_bit_for_bit(tmp_path, capsys):

@@ -2,6 +2,7 @@ import itertools
 import math
 import string
 import tracemalloc
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -21,14 +22,13 @@ from mpshmm.ehmm import (
     PI_SUM_TOL,
     ROW_NORM_TOL,
     EhmmModel,
-    Violation,
     _chain_step,
     _check_cap,
     build_psi_hn,
     build_psi_hon,
     build_psi_on,
     observation_from_joint,
-    validate,
+    require_valid,
 )
 from mpshmm.entropy import (
     bound_rhs,
@@ -57,45 +57,61 @@ def trivial_model():
 
 
 def model_args(model):
-    """A model's constructor arguments, as `validate` takes them."""
+    """A model's constructor arguments, as `require_valid` takes them."""
     return model.pi, model.hidden, model.emission, model.translation_invariant
 
 
+def raised(args):
+    """The message `EhmmModel` raises for these constructor arguments, or None."""
+    try:
+        EhmmModel(*args)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def oracle_first(args):
+    """`invalid model: ` and the per-row loop's first violation, or None for a valid model."""
+    report = loop_validate(*args)
+    return f"invalid model: {report[0].location}: {report[0].message}" if report else None
+
+
 def test_ghz_model_is_valid():
-    assert validate(*model_args(catalog.get("ghz").model)) == []
+    args = model_args(catalog.get("ghz").model)
+    assert loop_validate(*args) == []
+    pi, hidden, emission = require_valid(*args)
+    assert np.array_equal(pi, args[0]) and np.array_equal(hidden, np.array(args[1]))
+    assert np.array_equal(emission, np.array(args[2]))
 
 
 def test_pi_sum_violation_reported():
-    report = validate(
-        np.array([0.6, 0.6]), (np.eye(2, dtype=complex),), (np.eye(2, dtype=complex),), True
-    )
-    assert any("pi sum = 1.2" in v.message for v in report)
+    args = (np.array([0.6, 0.6]), (np.eye(2, dtype=complex),), (np.eye(2, dtype=complex),), True)
+    assert raised(args) == oracle_first(args) == "invalid model: pi: pi sum = 1.2"
 
 
 @pytest.mark.parametrize("bad", [[math.nan, math.nan], [math.inf, -math.inf], [0.5, math.nan]])
 def test_non_finite_pi_reported(bad):
     args = (np.array(bad), (np.eye(2, dtype=complex),), (np.eye(2, dtype=complex),), True)
-    report = validate(*args)
-    assert [v.location for v in report] == ["pi"]
-    assert report[0].message.startswith("non-finite entry")
-    with pytest.raises(ValueError, match="non-finite entry"):
-        EhmmModel(*args)
+    assert [v.location for v in loop_validate(*args)] == ["pi"]
+    assert raised(args) == oracle_first(args)
+    assert raised(args).startswith("invalid model: pi: non-finite entry ")
 
 
 def test_bad_emission_row_names_index():
     chi = np.array([[1.0, 0.0], [0.5, 0.5]], dtype=complex)  # row 1 not normalized
-    report = validate(np.array([0.5, 0.5]), (np.eye(2, dtype=complex),), (chi,), True)
-    assert any("emission[1] row 1" == v.location for v in report)
+    args = (np.array([0.5, 0.5]), (np.eye(2, dtype=complex),), (chi,), True)
+    assert raised(args) == oracle_first(args)
+    assert raised(args) == "invalid model: emission[1] row 1: squared-modulus row sum = 0.5"
 
 
 def test_translation_invariant_model_with_several_sites_reported():
     model = catalog.random_model(2, 2, 2, 26)
-    report = validate(model.pi, model.hidden, model.emission, True)
-    assert [v.location for v in report] == ["sites"]
-    assert "translation-invariant model stores 2 site pairs" in report[0].message
-    with pytest.raises(ValueError, match="translation-invariant model stores 2"):
-        EhmmModel(model.pi, model.hidden, model.emission, translation_invariant=True)
-    assert validate(*model_args(model)) == []
+    args = (model.pi, model.hidden, model.emission, True)
+    assert [v.location for v in loop_validate(*args)] == ["sites"]
+    assert raised(args) == oracle_first(args) == (
+        "invalid model: sites: translation-invariant model stores 2 site pairs, expected 1"
+    )
+    assert raised(model_args(model)) is None
 
 
 EYE2 = np.eye(2, dtype=complex)
@@ -131,15 +147,29 @@ INVALID_ARGS = [
         (HALF, (EYE2,), (np.array([[1.0, 0.0], [0.5, 0.5]], dtype=complex),), True),
         "emission[1] row 1: squared-modulus row sum = 0.5",
     ),
+    (
+        "hidden-before-emission",
+        (HALF, (EYE2, np.diag([1.0, 0.5])), (np.diag([0.5, 1.0]), EYE2)),
+        "hidden[2] row 1: squared-modulus row sum = 0.25",
+    ),
+    (
+        "zero-width",
+        (HALF, (EYE2,), (np.zeros((2, 0)),), True),
+        "emission[1] row 0: squared-modulus row sum = 0.0",
+    ),
+    (
+        "zero-states",
+        (np.zeros(0), (np.zeros((0, 0)),), (np.zeros((0, 2)),), True),
+        "pi: pi sum = 0.0",
+    ),
 ]
 
 
 @pytest.mark.parametrize("name, args, first", INVALID_ARGS, ids=[c[0] for c in INVALID_ARGS])
 def test_invalid_model_raises_at_construction(name, args, first):
-    count = len(validate(*args))
     with pytest.raises(ValueError) as info:
         EhmmModel(*args)
-    assert str(info.value) == f"invalid model ({count} violation(s)); first: {first}"
+    assert str(info.value) == f"invalid model: {first}" == oracle_first(args)
 
 
 def test_invalid_model_raises_when_loaded_or_recovered():
@@ -149,10 +179,10 @@ def test_invalid_model_raises_when_loaded_or_recovered():
     with pytest.raises(ValueError) as info:
         serialize.model_from_dict(doc)
     assert str(info.value) == (
-        "invalid model (1 violation(s)); first: hidden[1] row 0: squared-modulus row sum = 0.36"
+        "invalid model: hidden[1] row 0: squared-modulus row sum = 0.36"
     )
     bad_pi = np.array([0.6, 0.6])
-    message = "invalid model (1 violation(s)); first: pi: pi sum = 1.2"
+    message = "invalid model: pi: pi sum = 1.2"
     with pytest.raises(ValueError) as info:
         isometries_from_mps(ghz.tensors, pi=bad_pi)
     assert str(info.value) == message
@@ -240,9 +270,8 @@ def test_no_builder_validates_again(monkeypatch):
 
     for mod in vars(mpshmm).values():
         if getattr(mod, "__name__", "").startswith("mpshmm."):
-            for name in ("require_valid", "validate"):
-                if hasattr(mod, name):
-                    monkeypatch.setattr(mod, name, refuse)
+            if hasattr(mod, "require_valid"):
+                monkeypatch.setattr(mod, "require_valid", refuse)
     for model in models:
         build_psi_hon(model, 3)
         build_psi_hn(model, 3)
@@ -730,7 +759,13 @@ def test_build_psi_hon_peak_memory_near_output_size():
     assert peak <= 1.3 * state.entries.nbytes
 
 
-# ---- vectorized validation against the per-row loop ----
+# ---- raise-first validation against the per-row loop ----
+
+
+class Violation(NamedTuple):
+    location: str
+    message: str
+    magnitude: float
 
 
 def loop_validate(pi, hidden, emission, translation_invariant=False):
@@ -831,4 +866,44 @@ MALFORMED_MODELS = _malformed_models()
 
 @pytest.mark.parametrize("name, args", MALFORMED_MODELS, ids=[c[0] for c in MALFORMED_MODELS])
 def test_validate_equals_per_row_loop(name, args):
-    assert validate(*args) == loop_validate(*args)
+    assert raised(args) == oracle_first(args)
+    assert (raised(args) is None) == (name == "valid")
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(1, 3),
+    st.integers(1, 3),
+    st.integers(1, 3),
+    st.integers(0, 2**16),
+    st.sampled_from(["row", "pi", "shape"]),
+    st.sampled_from(["hidden", "emission"]),
+    st.data(),
+)
+def test_corrupted_model_names_the_per_row_loop_first_violation(m, d, sites, seed, how, kind, data):
+    # a valid random model corrupted once: one row scaled past ROW_NORM_TOL,
+    # pi broken, or one matrix swapped for one of a wrong shape
+    model = catalog.random_model(m, d, sites, seed)
+    pi, families = model.pi, {"hidden": list(model.hidden), "emission": list(model.emission)}
+    site = data.draw(st.integers(0, sites - 1))
+    if how == "row":
+        scale = data.draw(st.floats(0.0, 3.0).filter(lambda f: abs(f * f - 1.0) > 1e-9))
+        mat = families[kind][site].copy()
+        mat[data.draw(st.integers(0, m - 1))] *= scale
+        families[kind][site] = mat
+    elif how == "pi":
+        broken = [pi * 1.5, pi - 1.0, np.append(pi, 0.0), np.where(pi == pi.max(), np.nan, pi)]
+        pi = data.draw(st.sampled_from(broken))
+    else:
+        expected = (m, m) if kind == "hidden" else (m, d)
+        wrong = lambda s: s != expected  # noqa: E731
+        if kind == "emission" and sites == 1:
+            # a lone emission matrix sets d, so only its row count can be wrong
+            wrong = lambda s: s[0] != m  # noqa: E731
+        shapes = st.tuples(st.integers(1, 4), st.integers(1, 4)).filter(wrong)
+        shape = data.draw(shapes)
+        families[kind][site] = np.ones(shape, dtype=complex) / math.sqrt(shape[1])
+    ti = sites == 1 and data.draw(st.booleans())
+    args = (pi, tuple(families["hidden"]), tuple(families["emission"]), ti)
+    assert oracle_first(args) is not None
+    assert raised(args) == oracle_first(args)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from mpshmm import catalog
 from mpshmm.bridge import tensors_from_ehmm
+from mpshmm.ehmm import DEFAULT_SIZE_CAP
 from mpshmm.linalg import TensorVector
 from mpshmm.mps import (
     SiteTensorSet,
@@ -228,3 +229,11 @@ def test_transfer_norm_matches_dense_for_random_gauged():
 def test_transfer_norm_identity_family():
     t = SiteTensorSet(((np.eye(2, dtype=complex),),), translation_invariant=True)
     assert np.isclose(state_norm(t, 5), 2.0)
+
+
+@pytest.mark.parametrize("n", [10**30, 2**22 + 1], ids=["10^30", "2^22+1"])
+def test_transfer_norm_refuses_site_counts_past_the_size_cap(n):
+    # refused before any site is spread, not by numpy and not after n loop steps
+    with pytest.raises(ValueError) as info:
+        state_norm(catalog.get("ghz").tensors, n)
+    assert str(info.value) == f"{n} sites exceed size cap {DEFAULT_SIZE_CAP}"

@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ehmm import DEFAULT_SIZE_CAP, EhmmModel, _chain_step, _check_cap
-from .ehmm import _over_sites
+from .ehmm import DEFAULT_SIZE_CAP, EhmmModel, _chain_step, _check_cap, _over_sites, _sum_chain
+from .ehmm import _summed_steps
 from .linalg import TensorVector
 from .mps import SiteTensorSet, require_gauge
 
@@ -156,9 +156,8 @@ def observed_mps(
     psi factor with the conjugated e factor and sums k_l, giving the m x m
     matrix T_l = |U_l|^2 * (sum_k |chi_l[:,k]|^2)[:, None]; these fold right
     to left, from ones at i_{n+1}, into an m-vector r over i_{N+1}.  The kept
-    sites 1..N grow a block X[i1, word, i] from the identity, one matrix
-    product per site against chi_l[i,k] U_l[i,j] (an m x dm matrix made once
-    per stored site), with words in C order.  The e-vector weight
+    sites 1..N run `_sum_chain` from the identity over the steps chi_l[i,k]
+    U_l[i,j], growing a block X[i1, word, i].  The e-vector weight
     sqrt(pi[i1]) conj(1/sqrt(pi[i1])), the periodic delta i_{N+1} = i1 and
     r close the chain.  The size cap bounds both X, the largest array
     formed, with m^2 d^N entries, and the n-N trailing sites folded one
@@ -168,16 +167,13 @@ def observed_mps(
     _check_cap(size_cap, (m, 2), (d, n_keep))
     if n - n_keep > size_cap:
         raise ValueError(f"{n - n_keep} trailing sites exceed size cap {size_cap}")
-    u, chi = model._hidden, model._emission
-    steps = (chi[..., None] * u[:, :, None, :]).reshape(len(u), m, d * m)
-    steps = _over_sites(steps, model.translation_invariant, n)
+    # steps over all n sites, so that the site rule is applied at n
+    steps = _over_sites(_summed_steps(model._emission, model._hidden), model.translation_invariant, n)
     _check_boundary_args(model, n_keep, n)
 
     r = _trailing_fold(model, n_keep, n)
-    x = np.eye(m, dtype=np.complex128)
-    for step in steps[:n_keep]:
-        x = x.reshape(-1, m) @ step
-    del steps, step  # freed before the read-out below, where the call peaks
+    x = _sum_chain(np.eye(m, dtype=np.complex128), steps[:n_keep])
+    del steps  # freed before the read-out below, where the call peaks
 
     sqrt_pi = np.sqrt(model.pi)
     weight = sqrt_pi * np.conj(1.0 / sqrt_pi) * r

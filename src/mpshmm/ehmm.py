@@ -26,7 +26,10 @@ The joint state on n sites lives in H^(n+1) (x) K^n and has coefficients
                  * chi[1][i1,k1] * ... * chi[n][i_n,k_n]
 
 on the basis vector e_{i1..i_{n+1}} (x) |k1..kn>.  Hidden factors come first,
-then observation factors, both lexicographic.
+then observation factors, both lexicographic.  The joint and hidden states
+keep every hidden index (`_chain_step`); the observation vector, sigma and
+the partial measurement sum it out by the HMM forward pass, one GEMM per
+site with the hidden index last (`_sum_chain`).
 """
 
 from __future__ import annotations
@@ -136,12 +139,15 @@ def _require_pi(pi: np.ndarray | Sequence, m: int) -> np.ndarray:
     """``pi`` as a new flat float64 array, after checking it is a distribution on m states.
 
     The one pi rule, for models and for the formulas that take pi apart from
-    one: length m, finite and non-negative entries, and a sum within
+    one: length m, real, finite and non-negative entries, and a sum within
     `PI_SUM_TOL` of 1.  Raises at the first problem.
     """
-    pi = np.array(np.reshape(pi, -1), dtype=np.float64)
+    pi = np.reshape(pi, -1)
     if pi.size != m:
         raise _invalid("pi", f"length {pi.size} != hidden dim {m}")
+    if np.iscomplexobj(pi) and pi.imag.any():
+        raise _invalid("pi", f"non-real entry {pi[pi.imag != 0][0]}")
+    pi = np.array(pi.real, dtype=np.float64)
     finite = np.isfinite(pi)
     if not finite.all():
         raise _invalid("pi", f"non-finite entry {pi[~finite][0]}")
@@ -230,30 +236,35 @@ def _check_cap(
         raise ValueError(f"{what} of {entries} entries exceeds size cap {size_cap}")
 
 
-def _chain_step(
-    x: np.ndarray, u: np.ndarray, chi: np.ndarray, sum_hidden: bool = False
-) -> np.ndarray:
-    """Advance the hidden chain by one site.
+def _chain_step(x: np.ndarray, u: np.ndarray, chi: np.ndarray) -> np.ndarray:
+    """Advance the hidden chain x[h, i, w] by one site, keeping every hidden index.
 
-    ``x[h, i, w]`` holds the chain so far: the kept hidden prefix h, the
-    current hidden index i and the observation prefix w, both in C order.
-    The site factor site[i, j, k] = u[i, j] * chi[i, k] (m * out_m * d
-    entries) moves to the next hidden index j and appends k to w.
-
-    Kept, i joins the hidden prefix: out[h, i, j, w, k] = x[h, i, w] *
-    site[i, j, k] is one batched (W, 1) @ (1, d) matmul, which writes the
-    new (h * m, out_m, W * d) state and nothing else beside x.  Summed, x
-    must be (1, m, W) and out[j, w, k] = sum_i x[i, w] * site[i, j, k] is
-    one (W, m) @ (m, d) GEMM per next index j, again writing only the
-    (1, out_m, W * d) output.
+    h is the kept hidden prefix, i the current index and w the observation
+    prefix, both in C order.  out[h, i, j, w, k] = x[h, i, w] * u[i, j] *
+    chi[i, k] is one batched (W, 1) @ (1, d) matmul, which writes the
+    (h * m, out_m, W * d) state and nothing else beside x.
     """
     h, m, w = x.shape
-    out_m, d = u.shape[1], chi.shape[1]
     site = u[:, :, None] * chi[:, None, :]
-    if sum_hidden:
-        return np.matmul(x[0].T, site.transpose(1, 0, 2)).reshape(1, out_m, w * d)
     out = np.matmul(x[:, :, None, :, None], site[None, :, :, None, :])
-    return out.reshape(h * m, out_m, w * d)
+    return out.reshape(h * m, u.shape[1], w * chi.shape[1])
+
+
+def _summed_steps(alphabet: np.ndarray, trans: np.ndarray) -> np.ndarray:
+    """`_sum_chain`'s steps of the L stored sites: step[i, (k, j)] = alphabet[i, k] * trans[i, j]."""
+    steps = alphabet[..., None] * trans[:, :, None, :]
+    return steps.reshape(len(steps), trans.shape[1], -1)
+
+
+def _sum_chain(x: np.ndarray, steps: Sequence[np.ndarray]) -> np.ndarray:
+    """The HMM forward pass: the chain x[w, i] with its hidden index summed out site by site.
+
+    Each site is one GEMM x.reshape(-1, m) @ step that appends the step's
+    symbol k to the words w, writing the chain x[(w, k), j] and nothing else.
+    """
+    for step in steps:
+        x = x.reshape(-1, len(step)) @ step
+    return x
 
 
 def build_psi_hon(
@@ -301,14 +312,11 @@ def build_psi_on(
     This is the site numbering the partial-inner-product route
     (`observation_from_joint`) gives, also for site-dependent models.
     """
-    m, d = model.m, model.d
+    d, ti = model.d, model.translation_invariant
     _check_cap(size_cap, (d, n))
-    _, chi = model.site_stacks(n)
-    trans = _over_sites(np.abs(model._hidden) ** 2, model.translation_invariant, n)
-    x = model.pi.astype(np.complex128).reshape(1, m, 1)
-    # the last site has no transition; summing i_n is a column of ones
-    for trans_l, chi_l in zip([*trans[:-1], np.ones((m, 1))], chi):
-        x = _chain_step(x, trans_l, chi_l, sum_hidden=True)
+    steps = _over_sites(_summed_steps(model._emission, np.abs(model._hidden) ** 2), ti, n)
+    last = _over_sites(model._emission, ti, n)[-1]  # no transition at site n: chi_n alone
+    x = _sum_chain(model.pi.astype(np.complex128)[None], [*steps[:-1], last])
     return TensorVector((d,) * n, x.reshape(-1))
 
 

@@ -6,8 +6,8 @@ the joint pure state over all hidden factors.  They agree whenever the
 tensors come from a model, and the pair doubles as a cross-check.  The trace
 route forms neither the joint state nor |psi><psi|: tracing out the hidden
 factors leaves pi and the classical transitions |U|^2 of the hidden Markov
-chain, so sigma is a forward recursion over that chain (the HMM forward
-algorithm run over pairs of words).
+chain, so sigma is the HMM forward pass over that chain run over pairs of
+words: `ehmm._sum_chain`, the step that also builds the observation vector.
 
 The lower bound compares the periodic-MPS density (1/m)|psi><psi| against
 the observation density: dephasing both in the word basis turns the relative
@@ -33,7 +33,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bridge import tensors_from_ehmm
-from .ehmm import DEFAULT_SIZE_CAP, EhmmModel, _chain_step, _check_cap, _over_sites, _require_pi
+from .ehmm import DEFAULT_SIZE_CAP, EhmmModel, _check_cap, _over_sites, _require_pi, _sum_chain
+from .ehmm import _summed_steps
 from .linalg import _require_hermitian, as_matrix, hermitian_eig
 from .mps import SiteTensorSet, _word_sums, build_state
 
@@ -101,7 +102,7 @@ def mps_density(
 
     The size cap counts the d^(2N) entries of the matrix, not only the state.
     """
-    _check_cap(size_cap, (t.d, 2 * n_sites))
+    _check_cap(size_cap, (t.d, 2 * n_sites), what="density matrix")
     psi = build_state(t, n_sites, size_cap)
     mat = np.outer(psi.entries, psi.entries.conj())
     mat /= t.m
@@ -127,7 +128,7 @@ def observation_density_formula(
     # of pairs per (word, word'), with the pair axes unzipped afterwards
     a = t._stack
     pairs = (a[:, :, None] * a.conj()[:, None]).reshape(len(a), -1, t.m, t.m)
-    _check_cap(size_cap, (t.d, 2 * n_sites))
+    _check_cap(size_cap, (t.d, 2 * n_sites), what="observation density")
     stacks = _over_sites(pairs, t.translation_invariant, n_sites)
     e_vec = np.ones((t.m, 1)) / math.sqrt(t.m)
     sums = _word_sums(stacks, pi[None], e_vec)
@@ -135,31 +136,26 @@ def observation_density_formula(
 
 
 def _hidden_chain_density(model: EhmmModel, n_sites: int, size_cap: int) -> np.ndarray:
-    """Observation density of a valid model by a forward recursion over its hidden chain.
+    """Observation density of a valid model by the HMM forward pass over its hidden chain.
 
     sigma[w, w'] = sum_{i_1..i_{N+1}} pi[i_1] prod_l |U_l[i_l, i_{l+1}]|^2
     chi_l[i_l, k_l] conj(chi_l[i_l, k'_l]), the joint state's partial trace
-    over its hidden factors.  |U_l|^2 and the pair factors chi_l (x)
-    conj(chi_l) of every stored site come from one operation each on the
-    model's stacks.  Each site is one `_chain_step` over the pair alphabet
-    (k, k'): one GEMM per next hidden index, taking the (m, d^(2l-2)) array
-    of the sites so far to the next (m, d^(2l)) one and holding nothing else.
-    The last site sums i_{N+1} through the row sums of |U_N|^2, so its step
-    writes sigma itself, d^(2N) entries, beside an input m / d^2 as large.
-    Unzipping the pair axes copies sigma once, so the call peaks at two
-    sigma-sized arrays and returns one.
+    over its hidden factors, is `_sum_chain` from pi over the pair alphabet
+    (k, k'): one GEMM per site, taking the (d^(2l-2), m) chain to the
+    (d^(2l), m) one and holding nothing else.  The last step, the pairs times
+    the row sums of |U_N|^2, sums i_{N+1} and writes sigma itself, d^(2N)
+    entries, beside an input m / d^2 as large.  Unzipping the pair axes
+    copies sigma once, so the call peaks at two sigma-sized arrays.
     """
-    m, d = model.m, model.d
+    m, d, ti = model.m, model.d, model.translation_invariant
     chi = model._emission
     pairs = (chi[..., None] * chi.conj()[:, :, None]).reshape(len(chi), m, d * d)  # [l, i, (k, k')]
-    _check_cap(size_cap, (d, 2 * n_sites))
+    _check_cap(size_cap, (d, 2 * n_sites), what="observation density")
     _check_cap(size_cap, (m, 1), (d, 2 * n_sites), what="observation-density recursion")
-    pairs = _over_sites(pairs, model.translation_invariant, n_sites)
-    trans = _over_sites(np.abs(model._hidden) ** 2, model.translation_invariant, n_sites)
-    x = model.pi.astype(np.complex128).reshape(1, m, 1)
-    last = trans[-1].sum(axis=1, keepdims=True)
-    for trans_l, pairs_l in zip([*trans[:-1], last], pairs):
-        x = _chain_step(x, trans_l, pairs_l, sum_hidden=True)
+    trans = np.abs(model._hidden) ** 2
+    steps = _over_sites(_summed_steps(pairs, trans), ti, n_sites)
+    last = _over_sites(pairs * trans.sum(axis=2)[..., None], ti, n_sites)[-1]
+    x = _sum_chain(model.pi.astype(np.complex128)[None], [*steps[:-1], last])
     return _unzip_pairs(x, d, n_sites)
 
 

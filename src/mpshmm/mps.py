@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .ehmm import DEFAULT_SIZE_CAP, _check_cap, _over_sites
+from .ehmm import DEFAULT_SIZE_CAP, _check_cap, _over_sites, _sum_chain
 from .linalg import TensorVector, as_matrix
 
 GAUGE_TOL = 1e-12
@@ -212,8 +212,6 @@ def state_norm(t: SiteTensorSet, n_sites: int) -> float:
     with np.errstate(over="ignore", invalid="ignore"):
         stored = (a[:, :, :, None, :, None] * a.conj()[:, :, None, :, None, :]).sum(axis=1)
         transfers = _over_sites(stored.reshape(-1, m2, m2), t.translation_invariant, n_sites)
-        prod = np.eye(m2, dtype=np.complex128)
-        for transfer in transfers:
-            prod = prod @ transfer
+        prod = _sum_chain(np.eye(m2, dtype=np.complex128), transfers)
         norm_sq = complex(np.trace(prod)).real
     return math.sqrt(max(norm_sq, 0.0)) if math.isfinite(norm_sq) else math.inf

@@ -251,6 +251,14 @@ def test_huge_size_is_one_line_size_cap_error(capsys, argv):
     assert "entries exceeds size cap" in captured.err
 
 
+def test_entropy_cap_names_the_observation_density(capsys):
+    # aklt-derived, d=3, N=7: the state has 3^7 = 2187 entries, sigma 3^14
+    assert main(["entropy", "--name", "aklt-derived", "--N", "7"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: observation density of 4782969 entries exceeds size cap 4194304\n"
+
+
 HUGE = 10**30
 
 

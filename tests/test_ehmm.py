@@ -24,6 +24,8 @@ from mpshmm.ehmm import (
     EhmmModel,
     _chain_step,
     _check_cap,
+    _sum_chain,
+    _summed_steps,
     build_psi_hn,
     build_psi_hon,
     build_psi_on,
@@ -702,46 +704,79 @@ def test_chain_builders_past_einsum_letter_limit():
 # ---- the chain step against a literal loop ----
 
 
-def loop_chain_step(x, u, chi, sum_hidden):
+def loop_chain_step(x, u, chi):
     """`_chain_step` entry by entry, in extended precision.
 
-    Kept: out[h*m + i, j, w*d + k] = x[h, i, w] u[i, j] chi[i, k].
-    Summed: out[0, j, w*d + k] = sum_i x[0, i, w] u[i, j] chi[i, k].
+    out[h*m + i, j, w*d + k] = x[h, i, w] u[i, j] chi[i, k].
     """
     x, u, chi = (np.asarray(a, dtype=np.clongdouble) for a in (x, u, chi))
     h, m, w = x.shape
     out_m, d = u.shape[1], chi.shape[1]
-    out = np.zeros((1 if sum_hidden else h * m, out_m, w * d), dtype=np.clongdouble)
+    out = np.zeros((h * m, out_m, w * d), dtype=np.clongdouble)
     for hh, i, j, ww, k in itertools.product(range(h), range(m), range(out_m), range(w), range(d)):
-        row = 0 if sum_hidden else hh * m + i
-        out[row, j, ww * d + k] += x[hh, i, ww] * u[i, j] * chi[i, k]
+        out[hh * m + i, j, ww * d + k] += x[hh, i, ww] * u[i, j] * chi[i, k]
     return out
 
 
 @settings(max_examples=150, deadline=None)
 @given(
-    sum_hidden=st.booleans(),
     h=st.integers(1, 3),
     m=st.integers(1, 3),
     w=st.integers(1, 4),
     d=st.integers(1, 3),
-    out_one=st.booleans(),
     real_u=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
-@example(sum_hidden=False, h=2, m=2, w=2, d=1, out_one=False, real_u=False, seed=1)  # build_psi_hn
-@example(sum_hidden=True, h=1, m=3, w=4, d=2, out_one=True, real_u=True, seed=2)  # last summed step
-def test_chain_step_equals_literal_loop(sum_hidden, h, m, w, d, out_one, real_u, seed):
+@example(h=2, m=2, w=2, d=1, real_u=False, seed=1)  # build_psi_hn
+def test_chain_step_equals_literal_loop(h, m, w, d, real_u, seed):
     rng = np.random.default_rng(seed)
-    h = 1 if sum_hidden else h
-    out_m = 1 if sum_hidden and out_one else m  # only the summed last step narrows to one column
     x = rng.standard_normal((h, m, w)) + 1j * rng.standard_normal((h, m, w))
-    u = rng.standard_normal((m, out_m)) + (0 if real_u else 1j * rng.standard_normal((m, out_m)))
+    u = rng.standard_normal((m, m)) + (0 if real_u else 1j * rng.standard_normal((m, m)))
     chi = rng.standard_normal((m, d)) + 1j * rng.standard_normal((m, d))
-    got = _chain_step(x, u, chi, sum_hidden=sum_hidden)
-    want = loop_chain_step(x, u, chi, sum_hidden)
+    got = _chain_step(x, u, chi)
+    want = loop_chain_step(x, u, chi)
     # the error of each entry is relative to the sum of its terms' moduli
-    scale = loop_chain_step(np.abs(x), np.abs(u), np.abs(chi), sum_hidden)
+    scale = loop_chain_step(np.abs(x), np.abs(u), np.abs(chi))
+    assert got.shape == want.shape and got.dtype == np.complex128
+    assert np.all(np.abs(got - want) <= 1e-15 * scale.real)
+
+
+def loop_summed_step(x, alphabet, trans):
+    """One `_sum_chain` site entry by entry, in extended precision.
+
+    out[r*a + k, j] = sum_i x[r, i] alphabet[i, k] trans[i, j], the words in C order.
+    """
+    x, alphabet, trans = (np.asarray(v, dtype=np.clongdouble) for v in (x, alphabet, trans))
+    (rows, m), a, out_m = x.shape, alphabet.shape[1], trans.shape[1]
+    out = np.zeros((rows * a, out_m), dtype=np.clongdouble)
+    for r, i, k, j in itertools.product(range(rows), range(m), range(a), range(out_m)):
+        out[r * a + k, j] += x[r, i] * alphabet[i, k] * trans[i, j]
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    rows=st.integers(1, 4),
+    m=st.integers(1, 3),
+    d=st.integers(1, 3),
+    pairs=st.booleans(),
+    out_one=st.booleans(),
+    real_trans=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(rows=1, m=3, d=2, pairs=False, out_one=True, real_trans=True, seed=2)  # last summed step
+def test_summed_step_equals_literal_loop(rows, m, d, pairs, out_one, real_trans, seed):
+    # a batch of rows (the identity of `observed_mps`), the d^2 pair alphabet of
+    # sigma, and the one-column last step of `build_psi_on` and sigma
+    rng = np.random.default_rng(seed)
+    a, out_m = (d * d if pairs else d), (1 if out_one else m)
+    x = rng.standard_normal((rows, m)) + 1j * rng.standard_normal((rows, m))
+    alphabet = rng.standard_normal((m, a)) + 1j * rng.standard_normal((m, a))
+    trans = rng.standard_normal((m, out_m)) + (0 if real_trans else 1j * rng.standard_normal((m, out_m)))
+    got = _sum_chain(x, _summed_steps(alphabet[None], trans[None])).reshape(rows * a, out_m)
+    want = loop_summed_step(x, alphabet, trans)
+    # the error of each entry is relative to the sum of its terms' moduli
+    scale = loop_summed_step(np.abs(x), np.abs(alphabet), np.abs(trans))
     assert got.shape == want.shape and got.dtype == np.complex128
     assert np.all(np.abs(got - want) <= 1e-15 * scale.real)
 

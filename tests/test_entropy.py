@@ -491,13 +491,14 @@ def test_density_builders_share_one_size_cap():
     # recursion), N=5 gives 1024
     entry = catalog.get("ghz")
     routes = (
-        lambda n: observation_density_formula(entry.tensors, entry.model.pi, n, size_cap=600),
-        lambda n: observation_density_trace(entry.model, n, size_cap=600),
-        lambda n: mps_density(entry.tensors, n, size_cap=600),
+        (lambda n: observation_density_formula(entry.tensors, entry.model.pi, n, size_cap=600),
+         "observation density"),
+        (lambda n: observation_density_trace(entry.model, n, size_cap=600), "observation density"),
+        (lambda n: mps_density(entry.tensors, n, size_cap=600), "density matrix"),
     )
-    for route in routes:
+    for route, what in routes:
         assert route(4).dim == 16
-        with pytest.raises(ValueError, match="^state of 1024 entries exceeds size cap 600$"):
+        with pytest.raises(ValueError, match=f"^{what} of 1024 entries exceeds size cap 600$"):
             route(5)
 
 
@@ -635,12 +636,27 @@ def _pi_messages(pi):
         ([0.5, math.nan], "non-finite entry nan"),
         ([-0.5, 1.5], "negative entry -0.5"),
         ([0.5, math.inf], "non-finite entry inf"),
+        # refused before any float cast, which would drop the imaginary part
+        (np.array([0.5 + 1j, 0.5]), "non-real entry (0.5+1j)"),
+        (np.array([0.5, complex(0.5, math.nan)]), "non-real entry (0.5+nanj)"),
     ],
-    ids=["pi0", "pi1", "pi2"],
+    ids=["pi0", "pi1", "pi2", "imaginary", "nan-imaginary"],
 )
 def test_pi_must_be_finite_and_non_negative(pi, message):
     assert _pi_messages(pi) == [f"invalid model: pi: {message}"] * 3
     assert _pi_messages([0.2, 0.3, 0.5]) == ["invalid model: pi: length 3 != hidden dim 2"] * 3
+
+
+def test_complex_pi_with_zero_imaginary_part_is_its_real_part():
+    # no ComplexWarning, which Tier-1 turns into an error
+    model = catalog.get("aklt-derived").model
+    t = tensors_from_ehmm(model)
+    pi = np.array([0.5 + 0j, 0.5 - 0j])
+    same = EhmmModel(pi, model.hidden, model.emission, model.translation_invariant)
+    assert same.pi.dtype == np.float64 and np.array_equal(same.pi, [0.5, 0.5])
+    assert bound_rhs(t, pi, 3) == bound_rhs(t, pi.real, 3)
+    formula = observation_density_formula(t, pi, 3).matrix
+    assert np.array_equal(formula, observation_density_formula(t, pi.real, 3).matrix)
 
 
 @pytest.mark.parametrize("pi, total", [([2.0, 2.0], 4.0), ([0.0, 0.0], 0.0)])

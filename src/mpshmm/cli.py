@@ -243,7 +243,7 @@ def _cmd_entropy(args: argparse.Namespace) -> int:
 
 
 def _cmd_selftest(args: argparse.Namespace) -> int:
-    results = selftest.run_all(fixture_path=args.fixture)
+    results = selftest.run_all()
     return 0 if all(r.passed for r in results) else 1
 
 
@@ -367,7 +367,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ent.set_defaults(func=_cmd_entropy)
 
     p_st = sub.add_parser("selftest", help="run the full verification suite")
-    p_st.add_argument("--fixture", help="overlap fixture path (written on first run)")
     p_st.set_defaults(func=_cmd_selftest)
 
     return parser

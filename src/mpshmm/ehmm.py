@@ -139,12 +139,15 @@ def _require_pi(pi: np.ndarray | Sequence, m: int) -> np.ndarray:
     """``pi`` as a new flat float64 array, after checking it is a distribution on m states.
 
     The one pi rule, for models and for the formulas that take pi apart from
-    one: length m, real, finite and non-negative entries, and a sum within
+    one: length m, numeric dtype (integer, float or complex; not bool, str or
+    object), real, finite and non-negative entries, and a sum within
     `PI_SUM_TOL` of 1.  Raises at the first problem.
     """
     pi = np.reshape(pi, -1)
     if pi.size != m:
         raise _invalid("pi", f"length {pi.size} != hidden dim {m}")
+    if pi.dtype.kind not in "iufc":
+        raise _invalid("pi", f"non-numeric entry of dtype {pi.dtype}")
     if np.iscomplexobj(pi) and pi.imag.any():
         raise _invalid("pi", f"non-real entry {pi[pi.imag != 0][0]}")
     pi = np.array(pi.real, dtype=np.float64)

@@ -5,18 +5,16 @@ Each criterion, `criterion_1` to `criterion_8`, is a body that returns
 packs a :class:`CriterionResult`; a criterion with a time limit (criterion
 1, 60 s) fails past it and ends its detail with the elapsed seconds.
 `run_all` executes the criteria in order and reports one line per criterion.
-The same functions back the package's acceptance tests so the command-line
-check and the test suite cannot drift apart.
+It takes no inputs: the command-line `selftest` and the package's acceptance
+tests both call it, so the two cannot drift apart.
 """
 
 from __future__ import annotations
 
 import functools
-import json
 import math
 import time
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable
 
 import numpy as np
@@ -42,7 +40,7 @@ from .mps import build_state, gauge_check
 
 RANDOM_SHAPES = ((2, 2), (2, 3), (3, 2))
 
-__all__ = ["CriterionResult", "run_all", "criterion_functions"]
+__all__ = ["CriterionResult", "run_all"]
 
 
 @dataclass
@@ -285,47 +283,24 @@ def criterion_7() -> tuple[bool, str]:
 
 
 @_criterion(8, "distinctness of rebuilt state")
-def criterion_8(fixture_path: str | Path | None = None) -> tuple[bool, str]:
-    """The rebuilt tensors generate a state distinct from the original AKLT state."""
+def criterion_8() -> tuple[bool, str]:
+    """The rebuilt tensors generate a state orthogonal to the original AKLT state.
+
+    At N=3 the exact overlap is 0; the float route leaves a few 1e-18.
+    """
     psi = build_state(catalog.get("aklt").tensors, 3)
     psi_new = build_state(catalog.get("aklt-derived").tensors, 3)
     overlap = abs(psi.inner(psi_new)) / (psi.norm() * psi_new.norm())
-    passed = overlap < 1.0 - 1e-6
-    note = ""
-    if fixture_path is not None:
-        path = Path(fixture_path)
-        if path.exists():
-            stored = json.loads(path.read_text())["normalized_overlap"]
-            if abs(stored - overlap) > 1e-12:
-                passed = False
-                note = f"; fixture {stored} != computed"
-            else:
-                note = "; matches fixture"
-        else:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text(json.dumps({"normalized_overlap": overlap}, indent=2) + "\n")
-            note = "; fixture written"
-    return passed, f"normalized overlap {overlap:.12f}{note}"
+    return overlap <= 1e-12, f"normalized overlap {overlap:.12f}"
 
 
-def criterion_functions(
-    fixture_path: str | Path | None = None,
-) -> list[Callable[[], CriterionResult]]:
-    return [
-        criterion_1,
-        criterion_2,
-        criterion_3,
-        criterion_4,
-        criterion_5,
-        criterion_6,
-        criterion_7,
-        lambda: criterion_8(fixture_path),
-    ]
-
-
-def run_all(fixture_path: str | Path | None = None) -> list[CriterionResult]:
+def run_all() -> list[CriterionResult]:
+    """Run criteria 1-8 in order, printing one line each, then criterion 9's runtime line."""
     results = []
-    for fn in criterion_functions(fixture_path):
+    for fn in (
+        criterion_1, criterion_2, criterion_3, criterion_4,
+        criterion_5, criterion_6, criterion_7, criterion_8,
+    ):
         result = fn()
         results.append(result)
         status = "PASS" if result.passed else "FAIL"

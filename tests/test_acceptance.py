@@ -1,26 +1,18 @@
 """Acceptance gate: every criterion at its stated tolerance, one line each.
 
-The criterion implementations live in `mpshmm.selftest` so that the
-command-line `selftest` and this module can never drift apart; each test
+The results come from `mpshmm.selftest.run_all`, the code of the
+command-line `selftest`, so the two can never drift apart; each test
 prints its PASS/FAIL line and asserts the outcome.
 """
-
-from pathlib import Path
 
 import pytest
 
 from mpshmm import selftest
 
-FIXTURE = Path(__file__).parent / "fixtures" / "aklt_overlap.json"
-
 
 @pytest.fixture(scope="module")
 def results():
-    collected = {}
-    for fn in selftest.criterion_functions(fixture_path=FIXTURE):
-        result = fn()
-        collected[result.index] = result
-    return collected
+    return {r.index: r for r in selftest.run_all()}
 
 
 def _report(result):
@@ -59,7 +51,6 @@ def test_criterion_7_unit_vectors_and_observation_route(results):
 
 def test_criterion_8_distinctness_with_fixture(results):
     _report(results[8])
-    assert FIXTURE.exists()
 
 
 def test_criterion_9_suite_runtime(results):

@@ -157,6 +157,17 @@ def test_aklt_state_distinct_from_derived_state():
     assert overlap < 1.0 - 1e-6
 
 
+# <AKLT|aklt-derived> of the N-site states, summed exactly over the 3^N words with sympy
+EXACT_AKLT_DERIVED_INNER = {3: 0.0, 4: 164 / 729, 5: 0.0}
+
+
+@pytest.mark.parametrize("n_sites, exact", EXACT_AKLT_DERIVED_INNER.items())
+def test_aklt_inner_product_with_derived_state_is_exact(n_sites, exact):
+    psi = build_state(catalog.get("aklt").tensors, n_sites)
+    psi_new = build_state(catalog.get("aklt-derived").tensors, n_sites)
+    assert abs(psi.inner(psi_new) - exact) <= 1e-15
+
+
 def test_ghz_normalized_variant():
     t = ghz_normalized_tensors(3)
     report = gauge_check(t)

@@ -639,8 +639,12 @@ def _pi_messages(pi):
         # refused before any float cast, which would drop the imaginary part
         (np.array([0.5 + 1j, 0.5]), "non-real entry (0.5+1j)"),
         (np.array([0.5, complex(0.5, math.nan)]), "non-real entry (0.5+nanj)"),
+        # refused before any float cast, which would parse strings and read booleans as 0/1
+        (["0.5", "0.5"], "non-numeric entry of dtype <U3"),
+        ([True, False], "non-numeric entry of dtype bool"),
+        (np.array([0.5, 0.5], dtype=object), "non-numeric entry of dtype object"),
     ],
-    ids=["pi0", "pi1", "pi2", "imaginary", "nan-imaginary"],
+    ids=["pi0", "pi1", "pi2", "imaginary", "nan-imaginary", "strings", "booleans", "objects"],
 )
 def test_pi_must_be_finite_and_non_negative(pi, message):
     assert _pi_messages(pi) == [f"invalid model: pi: {message}"] * 3

@@ -5,6 +5,7 @@ import re
 from types import SimpleNamespace
 
 from mpshmm import selftest
+from mpshmm.linalg import TensorVector
 
 NAMES = [
     "partial-measurement round trip",
@@ -39,3 +40,12 @@ def test_criteria_keep_their_module_function_names():
     for index in range(1, 9):
         fn = getattr(selftest, f"criterion_{index}")
         assert (fn.__module__, fn.__name__) == ("mpshmm.selftest", f"criterion_{index}")
+
+
+def test_criterion_8_fails_on_a_pair_that_overlaps_but_is_not_orthogonal(monkeypatch):
+    # two unit vectors (1 + 1e-18 rounds to 1) at overlap 1e-9: distinct, but not orthogonal
+    states = iter([TensorVector((2,), [1.0, 0.0]), TensorVector((2,), [1e-9, 1.0])])
+    monkeypatch.setattr(selftest, "build_state", lambda tensors, n_sites: next(states))
+    result = selftest.criterion_8()
+    assert not result.passed
+    assert result.detail == "normalized overlap 0.000000001000"

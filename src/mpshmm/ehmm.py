@@ -29,7 +29,9 @@ on the basis vector e_{i1..i_{n+1}} (x) |k1..kn>.  Hidden factors come first,
 then observation factors, both lexicographic.  The joint and hidden states
 keep every hidden index (`_chain_step`); the observation vector, sigma and
 the partial measurement sum it out by the HMM forward pass, one GEMM per
-site with the hidden index last (`_sum_chain`).
+site with the hidden index last (`_sum_chain`).  The dense MPS state and the
+bound's word weights run the same pass over a tensor set's steps
+step[j, (k, j')] = A_k[j, j'] (`mps._word_sums`).
 """
 
 from __future__ import annotations

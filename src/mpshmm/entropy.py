@@ -35,8 +35,8 @@ import numpy as np
 from .bridge import tensors_from_ehmm
 from .ehmm import DEFAULT_SIZE_CAP, EhmmModel, _check_cap, _over_sites, _require_pi, _sum_chain
 from .ehmm import _summed_steps
-from .linalg import _require_hermitian, as_matrix, hermitian_eig
-from .mps import SiteTensorSet, _word_sums, build_state
+from .linalg import _descending_eigh, _require_hermitian, as_matrix, hermitian_eig
+from .mps import SiteTensorSet, _chain_steps, _word_sums, build_state
 
 BOUND_SLACK = 1e-8
 # input validation, not a support cut: eigenvalues below -_PSD_TOL reject the input
@@ -129,9 +129,9 @@ def observation_density_formula(
     a = t._stack
     pairs = (a[:, :, None] * a.conj()[:, None]).reshape(len(a), -1, t.m, t.m)
     _check_cap(size_cap, (t.d, 2 * n_sites), what="observation density")
-    stacks = _over_sites(pairs, t.translation_invariant, n_sites)
+    steps = _over_sites(_chain_steps(pairs), t.translation_invariant, n_sites)
     e_vec = np.ones((t.m, 1)) / math.sqrt(t.m)
-    sums = _word_sums(stacks, pi[None], e_vec)
+    sums = _word_sums(steps, pi[None], e_vec)
     return DensityMatrix(math.sqrt(t.m) * _unzip_pairs(sums, t.d, n_sites), (t.d,) * n_sites)
 
 
@@ -219,19 +219,28 @@ def _require_psd(min_eigenvalue: float) -> None:
         )
 
 
+def _spectrum(x: DensityMatrix | np.ndarray, mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`hermitian_eig` of ``mat``, the matrix of ``x``; a `DensityMatrix` was checked when built."""
+    if not isinstance(x, DensityMatrix):
+        return hermitian_eig(mat)
+    return _descending_eigh(mat if mat.imag.any() else mat.real)
+
+
 def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """Tr(rho log rho) - Tr(rho log sigma) on supports; +inf if supports split.
 
     The literal oracle: both spectra come from `eigh`, and `_divergence`
     decides which eigenvalues count as zero (at or below max * dim *
     finfo.eps) and when an eigenvector of rho leaks onto sigma's null space.
+    A `DensityMatrix` was checked Hermitian when it was built and is not
+    checked again; a raw array is checked by `hermitian_eig`.
     """
     r = rho.matrix if isinstance(rho, DensityMatrix) else as_matrix(rho)
     s = sigma.matrix if isinstance(sigma, DensityMatrix) else as_matrix(sigma)
     if r.shape != s.shape:
         raise ValueError(f"shape mismatch {r.shape} vs {s.shape}")
-    vals_r, vecs_r = hermitian_eig(r)
-    vals_s, vecs_s = hermitian_eig(s)
+    vals_r, vecs_r = _spectrum(rho, r)
+    vals_s, vecs_s = _spectrum(sigma, s)
     _require_psd(min(vals_r.min(), vals_s.min()))
     overlap = np.abs(vecs_r.conj().T @ vecs_s) ** 2
     return _divergence(vals_r, vals_s, overlap)
@@ -250,7 +259,7 @@ def _word_weights(
     p = np.abs(psi)
     p **= 2
     p /= t.m
-    squares = _over_sites(t._stack.real**2 + t._stack.imag**2, t.translation_invariant, n_sites)
+    squares = _over_sites(t._square_steps, t.translation_invariant, n_sites)
     q = _word_sums(squares, pi[None], np.ones((t.m, 1)))
     return p, q
 

@@ -169,5 +169,10 @@ def hermitian_eig(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if not a.imag.any():
         a = a.real
     _require_hermitian(a, "matrix")
+    return _descending_eigh(a)
+
+
+def _descending_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`hermitian_eig`'s outputs for a real or complex matrix already checked Hermitian."""
     vals, vecs = np.linalg.eigh(a)
     return vals[::-1], vecs[:, ::-1]

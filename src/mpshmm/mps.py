@@ -12,12 +12,17 @@ translation-invariant set serves any N >= 1, a site-dependent one 1 <= N <= L.
 The dense state is evaluated for all words at once by a split-half
 contraction: the ordered products of the first and of the second half of the
 chain are built for every half-word, and one matrix product pairs them up.
+Each half is the forward pass `ehmm._sum_chain`, one GEMM per site over the
+steps step[j, (k, j')] = A_k[j, j'], which a tensor set derives once, on
+first use, for A_k and for |A_k|^2.  The first half runs once per first
+symbol, so only one of its d blocks sits beside the output at a time.
 `coefficient` stays the scalar route for single words, and `state_norm`
 the transfer-operator route that never forms the state.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -48,6 +53,7 @@ class SiteTensorSet:
     ``sites[l][k]`` is A_k at site l+1.  A translation-invariant set stores a
     single family and serves it for every site.  Construction copies the
     matrices into one read-only (L, d, m, m) stack, of which they are views.
+    The `_sum_chain` steps of A_k and of |A_k|^2 are derived once, on first use.
     """
 
     sites: tuple[tuple[np.ndarray, ...], ...] = field(repr=False)
@@ -65,6 +71,8 @@ class SiteTensorSet:
                 f"translation-invariant tensor set stores {len(sites)} sites, expected 1"
             )
         m = as_matrix(sites[0][0]).shape[0]
+        if m == 0:
+            raise ValueError("site 1 symbol 0 is empty: bond dimension must be >= 1")
         d = len(sites[0])
         for l, fam in enumerate(sites, start=1):
             if len(fam) != d:
@@ -92,6 +100,23 @@ class SiteTensorSet:
     def site_stack(self, n: int) -> np.ndarray:
         """(n, d, m, m) symbol stack of sites 1..n, by `ehmm._over_sites`."""
         return _over_sites(self._stack, self.translation_invariant, n)
+
+    @functools.cached_property
+    def _steps(self) -> np.ndarray:
+        """`_word_sums` steps of the stored sites, step[j, (k, j')] = A_k[j, j']."""
+        return _chain_steps(self._stack)
+
+    @functools.cached_property
+    def _square_steps(self) -> np.ndarray:
+        """`_word_sums` steps of the stored real family |A_k|^2."""
+        return _chain_steps(self._stack.real**2 + self._stack.imag**2)
+
+
+def _chain_steps(stack: np.ndarray) -> np.ndarray:
+    """Read-only (L, m, d*m) `_sum_chain` steps of an (L, d, m, m) symbol stack, hidden index last."""
+    steps = stack.transpose(0, 2, 1, 3).reshape(len(stack), stack.shape[2], -1)
+    steps.flags.writeable = False
+    return steps
 
 
 @dataclass(frozen=True)
@@ -148,34 +173,40 @@ def coefficient(t: SiteTensorSet, word: Sequence[int]) -> complex:
     return complex(np.trace(prod))
 
 
-def _word_sums(stacks: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+def _word_sums(steps: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
     """Tr(left A_{k1} ... A_{kN} right) for every word k1..kN, flat in C word order.
 
-    ``stacks`` is the (N, d, m, m) symbol stack of sites 1..N; ``left`` is
-    (r, m) and ``right`` is (m, r).  The identity pair gives the periodic
-    trace, a row pi^T and a column e give the boundary-vector form pi^T A..A e.
+    ``steps`` holds the (m, d*m) `_sum_chain` steps step[j, (k, j')] =
+    A_k[j, j'] of sites 1..N (`_chain_steps`); ``left`` is (r, m) and
+    ``right`` is (m, r).  The identity pair gives the periodic trace, a row
+    pi^T and a column e give the boundary-vector form pi^T A..A e.
 
-    Split-half contraction: with h = ceil(N/2), the words of sites 1..h give
-    X = left A..A and the words of sites h+1..N give Z = (A..A right)^T, both
-    (r, m) per half-word, and Tr(X Z^T) for all pairs is one matrix product
-    of the flattened halves.  X is built one first symbol at a time and its
-    product is written straight into that symbol's block of the output, so
-    the peak memory stays close to the output itself.
+    Split-half contraction, h = ceil(N/2).  The second half, (A..A right)
+    over sites h+1..N, is the forward pass from the identity closed by
+    ``right``, and the first half, (left A..A) over sites 1..h, the forward
+    pass over sites 2..h from the k-th m columns of left @ step_1, run once
+    per first symbol k.  Every site is one GEMM, and so is Tr(X Z) for all
+    pairs of one first symbol, after one transposed copy of its block (none
+    when r = 1); it is written straight into that symbol's block of the
+    output.  The blocks stay per symbol for the peak memory: one block of
+    d^(h-1) half-words sits beside the output and the second half at a time,
+    where a first half shared by all symbols would hold more.  `np.dot`
+    writes the product because `np.matmul`'s ufunc path allocates beside it.
     """
-    h = (len(stacks) + 1) // 2
+    h = (len(steps) + 1) // 2
     r, m = left.shape
-    z = right.T[None]
-    for fam in reversed(stacks[h:]):
-        z = (z @ fam.transpose(0, 2, 1)[:, None]).reshape(-1, r, m)
-    z = z.reshape(len(z), -1).T
-    first = stacks[0]
-    rows = stacks.shape[1] ** (h - 1)
-    out = np.empty((len(first), rows, z.shape[1]), np.result_type(left, right, first))
-    for k, a in enumerate(first):
-        x = (left @ a)[None]
-        for fam in stacks[1:h]:
-            x = (x[:, None] @ fam).reshape(-1, r, m)
-        np.matmul(x.reshape(rows, -1), z, out=out[k])
+    z = right
+    if h < len(steps):  # the chain from the identity, whose first GEMM is step_{h+1} itself
+        z = _sum_chain(steps[h], steps[h + 1 :]).reshape(-1, m) @ right
+    z = z.reshape(m, -1, r).transpose(2, 0, 1).reshape(r * m, -1)  # [(r, j), w]
+    first = left @ steps[0]
+    d = first.shape[1] // m
+    rows = d ** (h - 1)
+    out = np.empty((d, rows, z.shape[1]), np.result_type(first, z))
+    for k in range(d):
+        x = _sum_chain(first[:, k * m : (k + 1) * m], steps[1:h]).reshape(r, rows, m)
+        np.dot(x.transpose(1, 0, 2).reshape(rows, r * m), z, out=out[k])
+        del x  # the next block's chain runs beside the output and z alone
     return out.reshape(-1)
 
 
@@ -184,14 +215,16 @@ def build_state(
 ) -> TensorVector:
     """Dense state over d^N words, entry at word w = coefficient(t, w).
 
-    All words at once by the split-half contraction of `_word_sums`; this
-    route is deliberately independent of the transfer-operator route in
-    `state_norm`.
+    All words at once by the split-half contraction of `_word_sums` over the
+    set's cached steps.  It is a different network from the transfer-operator
+    route in `state_norm` and from the partial-measurement forward pass over
+    U chi; the oracles that share no code with it are the scalar
+    `coefficient` and the literal word loops of the tests.
     """
     _check_cap(size_cap, (t.d, n_sites))
-    stack = t.site_stack(n_sites)
+    steps = _over_sites(t._steps, t.translation_invariant, n_sites)
     eye = np.eye(t.m, dtype=np.complex128)
-    return TensorVector((t.d,) * n_sites, _word_sums(stack, eye, eye))
+    return TensorVector((t.d,) * n_sites, _word_sums(steps, eye, eye))
 
 
 def state_norm(t: SiteTensorSet, n_sites: int) -> float:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from mpshmm import catalog, entropy
+from mpshmm import catalog, entropy, linalg
 from mpshmm.bridge import tensors_from_ehmm
 from mpshmm.ehmm import DEFAULT_SIZE_CAP, EhmmModel, build_psi_hon
 from mpshmm.entropy import (
@@ -192,6 +192,21 @@ def test_relative_entropy_rejects_non_psd():
     with pytest.raises(ValueError, match=r"^inputs must be positive semidefinite: smallest "
                        r"eigenvalue -2\.000e-01 is below -1e-12$"):
         relative_entropy(np.diag([1.0, -0.2]), np.eye(2) / 2)
+
+
+def test_relative_entropy_checks_density_matrices_only_when_built(monkeypatch):
+    rng = np.random.default_rng(67)
+    pairs = [(random_density(rng, 4), random_density(rng, 4)), (np.diag([1.0, 0.0]), np.eye(2) / 2)]
+    matrices = [(DensityMatrix(a, (len(a),)), DensityMatrix(b, (len(b),))) for a, b in pairs]
+    calls = []
+    check = linalg._require_hermitian
+    monkeypatch.setattr(linalg, "_require_hermitian", lambda *args: calls.append(args) or check(*args))
+    for (a, b), (rho, sigma) in zip(pairs, matrices):
+        value = relative_entropy(rho, sigma)
+        assert len(calls) == 0
+        assert relative_entropy(a, b) == value
+        assert len(calls) == 2
+        calls.clear()
 
 
 def test_check_bound_psd_message_states_the_bound(monkeypatch):
@@ -569,16 +584,17 @@ def loop_observation_density(t, pi, n):
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
-@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("d", [2, 3, 1])
 def test_bound_rhs_matches_word_loop(m, d):
     rng = np.random.default_rng(200 + 10 * m + d)
-    for n in range(1, 6):
-        t = random_site_tensors(rng, m, d, n)
-        pi = rng.dirichlet(np.ones(m))
-        for norm in (False, True):
-            expected = loop_bound_rhs(t, pi, n, trace_normalized=norm)
-            got = bound_rhs(t, pi, n, trace_normalized=norm)
-            assert math.isclose(got, expected, rel_tol=1e-10, abs_tol=1e-10)
+    for invariant in (False, True):
+        for n in range(1, 6):
+            t = random_site_tensors(rng, m, d, n, translation_invariant=invariant)
+            pi = rng.dirichlet(np.ones(m))
+            for norm in (False, True):
+                expected = loop_bound_rhs(t, pi, n, trace_normalized=norm)
+                got = bound_rhs(t, pi, n, trace_normalized=norm)
+                assert math.isclose(got, expected, rel_tol=1e-10, abs_tol=1e-10)
 
 
 def test_bound_rhs_zero_numerator_words_are_skipped():
@@ -702,15 +718,16 @@ def test_bound_report_stores_only_the_unit_trace_triple():
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
-@pytest.mark.parametrize("d, sites", [(2, (1, 2, 3, 4)), (3, (1, 2, 3))])
+@pytest.mark.parametrize("d, sites", [(2, (1, 2, 3, 4)), (3, (1, 2, 3)), (1, (1, 2, 3, 4))])
 def test_formula_matches_pair_loop(m, d, sites):
     rng = np.random.default_rng(300 + 10 * m + d)
-    for n in sites:
-        t = random_site_tensors(rng, m, d, n)
-        pi = rng.dirichlet(np.ones(m))
-        expected = loop_observation_density(t, pi, n)
-        got = observation_density_formula(t, pi, n).matrix
-        assert np.abs(got - expected).max() <= 1e-12 * max(1.0, float(np.abs(expected).max()))
+    for invariant in (False, True):
+        for n in sites:
+            t = random_site_tensors(rng, m, d, n, translation_invariant=invariant)
+            pi = rng.dirichlet(np.ones(m))
+            expected = loop_observation_density(t, pi, n)
+            got = observation_density_formula(t, pi, n).matrix
+            assert np.abs(got - expected).max() <= 1e-12 * max(1.0, float(np.abs(expected).max()))
 
 
 def test_bound_rhs_peak_memory_within_build_state_bound():

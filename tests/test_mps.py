@@ -127,6 +127,13 @@ def test_translation_invariant_set_with_several_sites_rejected():
     assert len(SiteTensorSet((fam, fam)).sites) == 2
 
 
+def test_bond_dimension_zero_rejected():
+    empty = np.zeros((0, 0))
+    for sites in (((empty, empty),), np.zeros((1, 2, 0, 0))):
+        with pytest.raises(ValueError, match=r"^site 1 symbol 0 is empty: bond dimension must be >= 1$"):
+            SiteTensorSet(sites, translation_invariant=True)
+
+
 def test_cyclic_invariance_translation_invariant():
     t = catalog.get("aklt").tensors
     rng = np.random.default_rng(30)

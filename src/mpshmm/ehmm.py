@@ -315,10 +315,13 @@ def build_psi_on(
                             * chi[1][i1,k1] * ... * chi[n][i_n,k_n]
 
     This is the site numbering the partial-inner-product route
-    (`observation_from_joint`) gives, also for site-dependent models.
+    (`observation_from_joint`) gives, also for site-dependent models.  The
+    size cap counts the d^n output and the chain after site n-1, m d^(n-1)
+    entries.
     """
     d, ti = model.d, model.translation_invariant
     _check_cap(size_cap, (d, n))
+    _check_cap(size_cap, (model.m, 1), (d, n - 1), what="observation-vector recursion")
     steps = _over_sites(_summed_steps(model._emission, np.abs(model._hidden) ** 2), ti, n)
     last = _over_sites(model._emission, ti, n)[-1]  # no transition at site n: chi_n alone
     x = _sum_chain(model.pi.astype(np.complex128)[None], [*steps[:-1], last])

@@ -8,6 +8,8 @@ route forms neither the joint state nor |psi><psi|: tracing out the hidden
 factors leaves pi and the classical transitions |U|^2 of the hidden Markov
 chain, so sigma is the HMM forward pass over that chain run over pairs of
 words: `ehmm._sum_chain`, the step that also builds the observation vector.
+Every spectrum comes from a `DensityMatrix`, checked Hermitian once when
+built, through one helper (`_spectrum`) that also applies the one PSD rule.
 
 The lower bound compares the periodic-MPS density (1/m)|psi><psi| against
 the observation density: dephasing both in the word basis turns the relative
@@ -35,7 +37,7 @@ import numpy as np
 from .bridge import tensors_from_ehmm
 from .ehmm import DEFAULT_SIZE_CAP, EhmmModel, _check_cap, _over_sites, _require_pi, _sum_chain
 from .ehmm import _summed_steps
-from .linalg import _descending_eigh, _require_hermitian, as_matrix, hermitian_eig
+from .linalg import _descending_eigh, _require_hermitian, as_matrix
 from .mps import SiteTensorSet, _chain_steps, _word_sums, build_state
 
 BOUND_SLACK = 1e-8
@@ -61,8 +63,8 @@ class DensityMatrix:
     """Hermitian matrix with its factorization and recorded (not forced) trace.
 
     Construction checks the shape and Hermiticity only.  The builders here
-    give PSD matrices by construction, and `relative_entropy`, the one
-    consumer that needs a spectrum, checks PSD on every call.
+    give PSD matrices by construction, and `_spectrum`, which takes every
+    spectrum, checks PSD on every call.
     """
 
     matrix: np.ndarray = field(repr=False)
@@ -135,40 +137,31 @@ def observation_density_formula(
     return DensityMatrix(math.sqrt(t.m) * _unzip_pairs(sums, t.d, n_sites), (t.d,) * n_sites)
 
 
-def _hidden_chain_density(model: EhmmModel, n_sites: int, size_cap: int) -> np.ndarray:
-    """Observation density of a valid model by the HMM forward pass over its hidden chain.
-
-    sigma[w, w'] = sum_{i_1..i_{N+1}} pi[i_1] prod_l |U_l[i_l, i_{l+1}]|^2
-    chi_l[i_l, k_l] conj(chi_l[i_l, k'_l]), the joint state's partial trace
-    over its hidden factors, is `_sum_chain` from pi over the pair alphabet
-    (k, k'): one GEMM per site, taking the (d^(2l-2), m) chain to the
-    (d^(2l), m) one and holding nothing else.  The last step, the pairs times
-    the row sums of |U_N|^2, sums i_{N+1} and writes sigma itself, d^(2N)
-    entries, beside an input m / d^2 as large.  Unzipping the pair axes
-    copies sigma once, so the call peaks at two sigma-sized arrays.
-    """
-    m, d, ti = model.m, model.d, model.translation_invariant
-    chi = model._emission
-    pairs = (chi[..., None] * chi.conj()[:, :, None]).reshape(len(chi), m, d * d)  # [l, i, (k, k')]
-    _check_cap(size_cap, (d, 2 * n_sites), what="observation density")
-    _check_cap(size_cap, (m, 1), (d, 2 * n_sites), what="observation-density recursion")
-    trans = np.abs(model._hidden) ** 2
-    steps = _over_sites(_summed_steps(pairs, trans), ti, n_sites)
-    last = _over_sites(pairs * trans.sum(axis=2)[..., None], ti, n_sites)[-1]
-    x = _sum_chain(model.pi.astype(np.complex128)[None], [*steps[:-1], last])
-    return _unzip_pairs(x, d, n_sites)
-
-
 def observation_density_trace(
     model: EhmmModel, n_sites: int, size_cap: int = DEFAULT_SIZE_CAP
 ) -> DensityMatrix:
     """Observation density: the joint pure state traced over its hidden factors.
 
-    Computed by the hidden-chain recursion; the joint state is never formed.
+    sigma[w, w'] = sum_{i_1..i_{N+1}} pi[i_1] prod_l |U_l[i_l, i_{l+1}]|^2
+    chi_l[i_l, k_l] conj(chi_l[i_l, k'_l]) is `_sum_chain` from pi over the
+    pair alphabet (k, k'), one GEMM per site; the joint state is never formed.
+    The last step sums i_{N+1} and writes sigma, d^(2N) entries, from the
+    chain after site N-1, m d^(2N-2) entries; the size cap counts both.  The
+    pair-axis unzip copies sigma once, and the chain is dropped before the
+    `DensityMatrix` check, so the call peaks at two sigma-sized arrays.
     """
-    return DensityMatrix(
-        _hidden_chain_density(model, n_sites, size_cap), (model.d,) * n_sites
-    )
+    m, d, ti = model.m, model.d, model.translation_invariant
+    chi = model._emission
+    pairs = (chi[..., None] * chi.conj()[:, :, None]).reshape(len(chi), m, d * d)  # [l, i, (k, k')]
+    _check_cap(size_cap, (d, 2 * n_sites), what="observation density")
+    _check_cap(size_cap, (m, 1), (d, 2 * n_sites - 2), what="observation-density recursion")
+    trans = np.abs(model._hidden) ** 2
+    steps = _over_sites(_summed_steps(pairs, trans), ti, n_sites)
+    last = _over_sites(pairs * trans.sum(axis=2)[..., None], ti, n_sites)[-1]
+    x = _sum_chain(model.pi.astype(np.complex128)[None], [*steps[:-1], last])
+    sigma = _unzip_pairs(x, d, n_sites)
+    del x, steps, last  # the check below holds sigma alone
+    return DensityMatrix(sigma, (d,) * n_sites)
 
 
 def diagonal_channel(rho: DensityMatrix) -> DensityMatrix:
@@ -211,19 +204,20 @@ def _unscaled(value: float, t: float) -> float:
     return t * value + t * math.log(t)
 
 
-def _require_psd(min_eigenvalue: float) -> None:
-    if min_eigenvalue < -_PSD_TOL:
+def _spectrum(x: DensityMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """A density's eigenvalues, descending, and eigenvectors as matching columns.
+
+    The one PSD rule: a smallest eigenvalue below -_PSD_TOL refuses the input.
+    An exactly real matrix takes the real symmetric `eigh`, about twice as fast.
+    """
+    mat = x.matrix
+    vals, vecs = _descending_eigh(mat if mat.imag.any() else mat.real)
+    if vals[-1] < -_PSD_TOL:
         raise ValueError(
             f"inputs must be positive semidefinite: smallest eigenvalue "
-            f"{min_eigenvalue:.3e} is below -{_PSD_TOL:g}"
+            f"{vals[-1]:.3e} is below -{_PSD_TOL:g}"
         )
-
-
-def _spectrum(x: DensityMatrix | np.ndarray, mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`hermitian_eig` of ``mat``, the matrix of ``x``; a `DensityMatrix` was checked when built."""
-    if not isinstance(x, DensityMatrix):
-        return hermitian_eig(mat)
-    return _descending_eigh(mat if mat.imag.any() else mat.real)
+    return vals, vecs
 
 
 def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
@@ -232,16 +226,16 @@ def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     The literal oracle: both spectra come from `eigh`, and `_divergence`
     decides which eigenvalues count as zero (at or below max * dim *
     finfo.eps) and when an eigenvector of rho leaks onto sigma's null space.
-    A `DensityMatrix` was checked Hermitian when it was built and is not
-    checked again; a raw array is checked by `hermitian_eig`.
+    A raw matrix becomes a `DensityMatrix` here, which checks it once; a
+    `DensityMatrix` was checked when it was built and is not checked again.
     """
-    r = rho.matrix if isinstance(rho, DensityMatrix) else as_matrix(rho)
-    s = sigma.matrix if isinstance(sigma, DensityMatrix) else as_matrix(sigma)
-    if r.shape != s.shape:
-        raise ValueError(f"shape mismatch {r.shape} vs {s.shape}")
-    vals_r, vecs_r = _spectrum(rho, r)
-    vals_s, vecs_s = _spectrum(sigma, s)
-    _require_psd(min(vals_r.min(), vals_s.min()))
+    # one factor of the row count; a non-matrix is refused before the shape check
+    rho, sigma = (x if isinstance(x, DensityMatrix) else DensityMatrix(x, np.shape(x)[:1])
+                  for x in (rho, sigma))
+    if rho.dim != sigma.dim:
+        raise ValueError(f"shape mismatch {rho.matrix.shape} vs {sigma.matrix.shape}")
+    vals_r, vecs_r = _spectrum(rho)
+    vals_s, vecs_s = _spectrum(sigma)
     overlap = np.abs(vecs_r.conj().T @ vecs_s) ** 2
     return _divergence(vals_r, vals_s, overlap)
 
@@ -353,33 +347,32 @@ def check_bound(
     for (1/m)|psi><psi| with trace t = |psi|^2 / m, follow exactly as
     t * S + t ln t, because the rule is scale-invariant.
 
-    Memory: sigma is the only D x D array the call makes before `eigh` (the
-    recursion's unzip copy is gone when it returns), and the Hermitian check
-    holds one real D x D temporary at a time.  `eigh` adds the eigenvectors,
-    handed back as a view, and the overlap weights |<v|e_i>|^2 are one
-    vector-matrix product.  So sigma plus its eigenvectors is the traced
-    peak; LAPACK's workspace is allocated outside numpy's tracing.
+    Memory: sigma is the only D x D array held before `eigh`; its builder
+    drops the chain before the Hermitian check, which holds one real D x D
+    temporary at a time.  `eigh` adds the eigenvectors, handed back as a view,
+    and the overlap weights |<v|e_i>|^2 are one vector-matrix product.  So
+    sigma plus its eigenvectors is the traced peak; LAPACK's workspace is
+    allocated outside numpy's tracing.
     """
     # an oversized state is refused as such; then sigma, whose recursion peaks holding nothing else
     _check_cap(size_cap, (model.d, n_sites))
-    sigma = _hidden_chain_density(model, n_sites, size_cap)
+    sigma = observation_density_trace(model, n_sites, size_cap)
     t = tensors_from_ehmm(model, require_unitary=False)
     psi = build_state(t, n_sites, size_cap).entries
 
-    vals, vecs = hermitian_eig(sigma)
-    _require_psd(vals.min())
+    vals, vecs = _spectrum(sigma)
     p, q_formula = _word_weights(t, model.pi, n_sites, psi)
     trace_rho = float(p.sum())
     if trace_rho <= 0.0:
         raise ValueError("cannot normalize a traceless density matrix")
     p /= trace_rho
-    q = np.diag(sigma).real
+    q = np.diag(sigma.matrix).real
     v = psi / math.sqrt(trace_rho * t.m)
     weights = np.abs(v.conj() @ vecs) ** 2
 
     return BoundReport(
         trace_rho=trace_rho,
-        trace_sigma=float(q.sum()),
+        trace_sigma=sigma.trace_value,
         s_value_normalized=_divergence(np.ones(1), vals, weights[None]),
         rhs_value_normalized=_divergence(p, q_formula),
         s_diag_normalized=_divergence(p, q),

@@ -509,6 +509,15 @@ def test_size_cap_enforced():
         build_psi_hon(model, 4, size_cap=100)
 
 
+def test_size_cap_counts_observation_vector_recursion():
+    # m=4, d=2, n=4: the output has 16 entries, the chain after site 3 holds 4 * 8 = 32
+    model = catalog.random_model(4, 2, 4, 74)
+    with pytest.raises(ValueError, match="^observation-vector recursion of 32 entries "
+                       "exceeds size cap 31$"):
+        build_psi_on(model, 4, size_cap=31)
+    assert build_psi_on(model, 4, size_cap=32).dim == 16
+
+
 HUGE_N_ROUTES = {
     "build_state": lambda n: build_state(catalog.get("ghz").tensors, n),
     "build_psi_hon": lambda n: build_psi_hon(catalog.get("ghz").model, n),

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from mpshmm import catalog, entropy, linalg
+from mpshmm import catalog, entropy
 from mpshmm.bridge import tensors_from_ehmm
 from mpshmm.ehmm import DEFAULT_SIZE_CAP, EhmmModel, build_psi_hon
 from mpshmm.entropy import (
@@ -199,8 +199,8 @@ def test_relative_entropy_checks_density_matrices_only_when_built(monkeypatch):
     pairs = [(random_density(rng, 4), random_density(rng, 4)), (np.diag([1.0, 0.0]), np.eye(2) / 2)]
     matrices = [(DensityMatrix(a, (len(a),)), DensityMatrix(b, (len(b),))) for a, b in pairs]
     calls = []
-    check = linalg._require_hermitian
-    monkeypatch.setattr(linalg, "_require_hermitian", lambda *args: calls.append(args) or check(*args))
+    check = entropy._require_hermitian
+    monkeypatch.setattr(entropy, "_require_hermitian", lambda *args: calls.append(args) or check(*args))
     for (a, b), (rho, sigma) in zip(pairs, matrices):
         value = relative_entropy(rho, sigma)
         assert len(calls) == 0
@@ -210,7 +210,8 @@ def test_relative_entropy_checks_density_matrices_only_when_built(monkeypatch):
 
 
 def test_check_bound_psd_message_states_the_bound(monkeypatch):
-    monkeypatch.setattr(entropy, "_hidden_chain_density", lambda *args: np.diag([1.0, -0.5]))
+    sigma = DensityMatrix(np.diag([1.0, -0.5]), (2,))
+    monkeypatch.setattr(entropy, "observation_density_trace", lambda *args: sigma)
     with pytest.raises(ValueError, match=r"smallest eigenvalue -5\.000e-01 is below -1e-12$"):
         check_bound(catalog.get("ghz").model, 1)
 
@@ -423,21 +424,26 @@ def test_check_bound_random_model_beyond_joint_state_reach():
 
 
 def test_size_cap_counts_observation_density_recursion():
-    # m=2, d=3, N=3: sigma 729 entries, recursion 2 * 729 = 1458
+    # the cap counts sigma, d^(2N) entries, and the chain after site N-1, m d^(2N-2)
+    # m=2, d=3, N=3: sigma 729 entries, the chain only 2 * 81 = 162
     model = catalog.random_model(2, 3, 3, 74)
-    for refuse in (
-        lambda: check_bound(model, 3, size_cap=1457),
-        lambda: observation_density_trace(model, 3, size_cap=1000),
-    ):
-        with pytest.raises(ValueError, match="recursion of 1458 entries exceeds size cap"):
-            refuse()
-    assert check_bound(model, 3, size_cap=1458).holds
+    for route in (check_bound, observation_density_trace):
+        with pytest.raises(ValueError, match="^observation density of 729 entries exceeds size cap 728$"):
+            route(model, 3, size_cap=728)
+        route(model, 3, size_cap=729)
+    # m=5, d=2, N=3: the chain holds 5 * 16 = 80 entries beside sigma's 64
+    model = catalog.random_model(5, 2, 3, 74)
+    for route in (check_bound, observation_density_trace):
+        with pytest.raises(ValueError, match="^observation-density recursion of 80 entries "
+                           "exceeds size cap 79$"):
+            route(model, 3, size_cap=79)
+        route(model, 3, size_cap=80)
 
 
-def _complex_eig(a):
-    """The complex `eigh` route, whatever the imaginary part."""
+def _complex_eigh(a):
+    """The spectrum helper's `eigh` taken by the complex route, whatever the imaginary part."""
     vals, vecs = np.linalg.eigh(np.asarray(a, dtype=np.complex128))
-    return vals[::-1].copy(), vecs[:, ::-1].copy()
+    return vals[::-1], vecs[:, ::-1]
 
 
 REAL_SIGMA_MODELS = [
@@ -456,16 +462,19 @@ def test_exactly_real_sigma_takes_real_eigh_and_matches_complex_route(name, thet
     eigh = np.linalg.eigh
     checked = 0
     for n in range(1, 9):
-        if model.m * model.d ** (2 * n) > DEFAULT_SIZE_CAP:  # the recursion's cap
+        if model.d ** (2 * n) > DEFAULT_SIZE_CAP:  # sigma's cap
             break
         dtypes = []
         with monkeypatch.context() as patch:
             patch.setattr(np.linalg, "eigh", lambda a: dtypes.append(a.dtype) or eigh(a))
             real = check_bound(model, n)
         assert dtypes == [np.float64]
+        dtypes.clear()
         with monkeypatch.context() as patch:
-            patch.setattr(entropy, "hermitian_eig", _complex_eig)
+            patch.setattr(np.linalg, "eigh", lambda a: dtypes.append(a.dtype) or eigh(a))
+            patch.setattr(entropy, "_descending_eigh", _complex_eigh)
             ref = check_bound(model, n)
+        assert dtypes == [np.complex128]
         for field in ("s_value", "s_diag", "rhs_value", "s_value_normalized", "s_diag_normalized",
                       "rhs_value_normalized"):
             a, b = getattr(real, field), getattr(ref, field)

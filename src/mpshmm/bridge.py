@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ehmm import DEFAULT_SIZE_CAP, EhmmModel, _chain_step, _check_cap, _over_sites, _sum_chain
-from .ehmm import _summed_steps
 from .linalg import TensorVector
 from .mps import SiteTensorSet, require_gauge
 
@@ -155,42 +154,46 @@ def observed_mps(
     nor the boundary vector is formed.  Each trailing site N+1..n pairs the
     psi factor with the conjugated e factor and sums k_l, giving the m x m
     matrix T_l = |U_l|^2 * (sum_k |chi_l[:,k]|^2)[:, None]; these fold right
-    to left, from ones at i_{n+1}, into an m-vector r over i_{N+1}.  The kept
-    sites 1..N run `_sum_chain` from the identity over the steps chi_l[i,k]
-    U_l[i,j], growing a block X[i1, word, i].  The e-vector weight
-    sqrt(pi[i1]) conj(1/sqrt(pi[i1])), the periodic delta i_{N+1} = i1 and
-    r close the chain.  The size cap bounds both X, the largest array
-    formed, with m^2 d^N entries, and the n-N trailing sites folded one
-    Python step each, so the work stays bounded for any n.
+    to left, from ones at i_{n+1}, into an m-vector r over i_{N+1}.  A
+    translation-invariant fold stops at the first step that leaves r
+    unchanged bit for bit, since every later step would repeat it exactly.
+    The kept sites 1..N run `_sum_chain` over the steps chi_l[i,k] U_l[i,j],
+    starting at step 1 itself and growing a block X[i1, word, i].  The
+    e-vector weight sqrt(pi[i1]) conj(1/sqrt(pi[i1])), the periodic delta
+    i_{N+1} = i1 and r close the chain.  The steps, the transfers and the
+    weight depend on the model alone, so they are derived on the first call
+    and kept on the model (`EhmmModel`); the caps, the site rule and the
+    argument checks run on every call.  The size cap bounds both X, the
+    largest array formed, with m^2 d^N entries, and the n-N trailing sites
+    folded one Python step each, so the work stays bounded for any n.
     """
     m, d = model.m, model.d
     _check_cap(size_cap, (m, 2), (d, n_keep))
     if n - n_keep > size_cap:
         raise ValueError(f"{n - n_keep} trailing sites exceed size cap {size_cap}")
     # steps over all n sites, so that the site rule is applied at n
-    steps = _over_sites(_summed_steps(model._emission, model._hidden), model.translation_invariant, n)
+    steps = _over_sites(model._kept_steps, model.translation_invariant, n)
     _check_boundary_args(model, n_keep, n)
 
     r = _trailing_fold(model, n_keep, n)
-    x = _sum_chain(np.eye(m, dtype=np.complex128), steps[:n_keep])
-    del steps  # freed before the read-out below, where the call peaks
-
-    sqrt_pi = np.sqrt(model.pi)
-    weight = sqrt_pi * np.conj(1.0 / sqrt_pi) * r
+    x = _sum_chain(steps[0], steps[1:n_keep])
+    weight = model._boundary_weight * r
     diag = x.reshape(m, d**n_keep, m)[np.arange(m), :, np.arange(m)]
     return TensorVector((d,) * n_keep, weight @ diag)
 
 
 def _trailing_fold(model: EhmmModel, n_keep: int, n: int) -> np.ndarray:
-    """r = T_{N+1} ... T_n 1, with every T_l from one operation on the model's stacks.
+    """r = T_{N+1} ... T_n 1 over the model's cached transfers.
 
-    A function of its own, so that the factors are freed before the kept block grows.
+    A translation-invariant fold stops once T r equals r bit for bit: each
+    later step would multiply the same T by the same r, so the exit is exact.
     """
-    u, chi = model._hidden, model._emission
-    trans = (u.conj() * u) * (chi.conj() * chi).sum(axis=2)[..., None]
+    ti = model.translation_invariant
     r = np.ones(model.m, dtype=np.complex128)
-    for t_l in reversed(_over_sites(trans, model.translation_invariant, n)[n_keep:]):
-        r = t_l @ r
+    for t_l in reversed(_over_sites(model._fold_transfers, ti, n)[n_keep:]):
+        r, previous = t_l @ r, r
+        if ti and r.tobytes() == previous.tobytes():
+            break
     return r
 
 

@@ -159,7 +159,7 @@ def _cmd_build_mps(args: argparse.Namespace) -> int:
     state = build_state(t, args.sites, args.size_cap)
     _emit_state(state, args, f"MPS on {args.sites} sites")
     if args.format == "table":
-        print(f"transfer-route norm: {_fmt(state_norm(t, args.sites))}")
+        print(f"transfer-route norm: {_fmt(state_norm(t, args.sites, args.size_cap))}")
     return 0
 
 

@@ -13,12 +13,19 @@ Its pi rule is also the one for formulas that take pi apart from a model.
 
 Every route in the package takes sites 1..n of a stack from one rule,
 `_over_sites`: a translation-invariant stack (L = 1) serves any n >= 1 as a
-broadcast view, a site-dependent one 1 <= n <= L, and any other n raises one
-message.  A per-site factor is computed on the stored stack, then spread.
+read-only view of stride 0 over the sites, a site-dependent one 1 <= n <= L,
+and any other n raises one message.  A per-site factor is computed on the
+stored stack, then spread.
 
 A model is immutable, so what is derived from it alone is derived once per
 process and shared read-only: whether its hidden stack is unitary
-(`EhmmModel.hidden_unitary`) and its site tensors (`bridge.tensors_from_ehmm`).
+(`EhmmModel.hidden_unitary`), its site tensors (`bridge.tensors_from_ehmm`)
+and the factors of its forward passes over the L stored sites (the classical
+transitions |U|^2, the steps of `build_psi_on` and of `bridge.observed_mps`,
+the latter's fold transfers and its boundary weight).  Each is built on
+first use and kept for the model's lifetime; none holds more than the
+L * d * m^2 entries of the site tensors, so arrays that grow with a site
+count or with d^2 (sigma's pair steps) are still built per call.
 
 The joint state on n sites lives in H^(n+1) (x) K^n and has coefficients
 
@@ -73,6 +80,9 @@ class EhmmModel:
     and (L, m, d) stacks over the L stored sites, of which ``hidden`` and
     ``emission`` are views, and raises `ValueError` unless the model is valid.
     The site tensors `bridge.tensors_from_ehmm` builds are kept in ``_tensors``.
+    The forward-pass factors (the private cached properties below) are
+    derived from the stacks on first read, never at construction, and kept,
+    read-only, as long as the model lives.
     """
 
     pi: np.ndarray
@@ -107,6 +117,33 @@ class EhmmModel:
         """1-based site of the first stored hidden matrix that is not unitary, or None."""
         return _first_non_unitary(self._hidden)
 
+    @functools.cached_property
+    def _transitions(self) -> np.ndarray:
+        """(L, m, m) classical transitions |U|^2 of the stored sites."""
+        return _read_only(np.abs(self._hidden) ** 2)
+
+    @functools.cached_property
+    def _observation_steps(self) -> np.ndarray:
+        """`build_psi_on`'s (L, m, d*m) steps chi[i, k] |U|^2[i, j]."""
+        return _read_only(_summed_steps(self._emission, self._transitions))
+
+    @functools.cached_property
+    def _kept_steps(self) -> np.ndarray:
+        """`bridge.observed_mps`'s (L, m, d*m) kept-site steps chi[i, k] U[i, j]."""
+        return _read_only(_summed_steps(self._emission, self._hidden))
+
+    @functools.cached_property
+    def _fold_transfers(self) -> np.ndarray:
+        """`bridge.observed_mps`'s (L, m, m) trailing transfers |U|^2 * sum_k |chi[:, k]|^2."""
+        u, chi = self._hidden, self._emission
+        return _read_only((u.conj() * u) * (chi.conj() * chi).sum(axis=2)[..., None])
+
+    @functools.cached_property
+    def _boundary_weight(self) -> np.ndarray:
+        """`bridge.observed_mps`'s weight sqrt(pi) conj(1/sqrt(pi)); read once pi > 0 is checked."""
+        sqrt_pi = np.sqrt(self.pi)
+        return _read_only(sqrt_pi * np.conj(1.0 / sqrt_pi))
+
     @property
     def hidden_unitary(self) -> bool:
         """Whether every hidden matrix is unitary; decided once per model."""
@@ -121,16 +158,26 @@ class EhmmModel:
 def _over_sites(stack: np.ndarray, translation_invariant: bool, n: int) -> np.ndarray:
     """Sites 1..n of a stack over the stored sites: the one site rule.
 
-    A translation-invariant stack holds one site, broadcast to n sites as a
-    read-only view without a copy; a site-dependent one serves its first n.
-    A per-site factor is computed on the stored stack, then spread by this rule.
+    A translation-invariant stack holds one site, served to n sites as a
+    read-only view of it with stride 0 over the sites, built directly on the
+    stack's memory, which must be contiguous as every stored stack is (this
+    skips `np.broadcast_to`'s iterator set-up); a site-dependent one serves
+    its first n.  A per-site factor is computed on the stored stack, then
+    spread by this rule.
     """
     if n < 1 or not (translation_invariant or n <= len(stack)):
         serves = "any count >= 1" if translation_invariant else f"counts 1..{len(stack)}"
         raise ValueError(f"site count {n} is below 1 or exceeds the stored sites ({serves})")
     if translation_invariant:
-        return np.broadcast_to(stack, (n, *stack.shape[1:]))
+        view = np.ndarray((n, *stack.shape[1:]), stack.dtype, stack, 0, (0, *stack.strides[1:]))
+        view.flags.writeable = False
+        return view
     return stack[:n]
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def _invalid(location: str, message: str) -> ValueError:
@@ -322,7 +369,7 @@ def build_psi_on(
     d, ti = model.d, model.translation_invariant
     _check_cap(size_cap, (d, n))
     _check_cap(size_cap, (model.m, 1), (d, n - 1), what="observation-vector recursion")
-    steps = _over_sites(_summed_steps(model._emission, np.abs(model._hidden) ** 2), ti, n)
+    steps = _over_sites(model._observation_steps, ti, n)
     last = _over_sites(model._emission, ti, n)[-1]  # no transition at site n: chi_n alone
     x = _sum_chain(model.pi.astype(np.complex128)[None], [*steps[:-1], last])
     return TensorVector((d,) * n, x.reshape(-1))

@@ -155,7 +155,7 @@ def observation_density_trace(
     pairs = (chi[..., None] * chi.conj()[:, :, None]).reshape(len(chi), m, d * d)  # [l, i, (k, k')]
     _check_cap(size_cap, (d, 2 * n_sites), what="observation density")
     _check_cap(size_cap, (m, 1), (d, 2 * n_sites - 2), what="observation-density recursion")
-    trans = np.abs(model._hidden) ** 2
+    trans = model._transitions
     steps = _over_sites(_summed_steps(pairs, trans), ti, n_sites)
     last = _over_sites(pairs * trans.sum(axis=2)[..., None], ti, n_sites)[-1]
     x = _sum_chain(model.pi.astype(np.complex128)[None], [*steps[:-1], last])

@@ -82,7 +82,7 @@ class SiteTensorSet:
                     raise ValueError(
                         f"site {l} symbol {k} has shape {a.shape}, expected ({m}, {m})"
                     )
-        stack = np.array(sites, dtype=np.complex128)
+        stack = np.array(sites, dtype=np.complex128, order="C")  # `_over_sites` views need C order
         if not np.isfinite(stack).all():
             raise ValueError("matrix entries must be finite")
         stack.flags.writeable = False
@@ -173,33 +173,41 @@ def coefficient(t: SiteTensorSet, word: Sequence[int]) -> complex:
     return complex(np.trace(prod))
 
 
-def _word_sums(steps: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+def _word_sums(
+    steps: np.ndarray, left: np.ndarray | None = None, right: np.ndarray | None = None
+) -> np.ndarray:
     """Tr(left A_{k1} ... A_{kN} right) for every word k1..kN, flat in C word order.
 
     ``steps`` holds the (m, d*m) `_sum_chain` steps step[j, (k, j')] =
     A_k[j, j'] of sites 1..N (`_chain_steps`); ``left`` is (r, m) and
-    ``right`` is (m, r).  The identity pair gives the periodic trace, a row
+    ``right`` is (m, r), and None stands for the identity (r = m), which is
+    then never multiplied.  The identity pair gives the periodic trace, a row
     pi^T and a column e give the boundary-vector form pi^T A..A e.
 
     Split-half contraction, h = ceil(N/2).  The second half, (A..A right)
-    over sites h+1..N, is the forward pass from the identity closed by
+    over sites h+1..N, is the forward pass from step_{h+1} closed by
     ``right``, and the first half, (left A..A) over sites 1..h, the forward
-    pass over sites 2..h from the k-th m columns of left @ step_1, run once
-    per first symbol k.  Every site is one GEMM, and so is Tr(X Z) for all
-    pairs of one first symbol, after one transposed copy of its block (none
-    when r = 1); it is written straight into that symbol's block of the
-    output.  The blocks stay per symbol for the peak memory: one block of
-    d^(h-1) half-words sits beside the output and the second half at a time,
-    where a first half shared by all symbols would hold more.  `np.dot`
-    writes the product because `np.matmul`'s ufunc path allocates beside it.
+    pass over sites 2..h from the k-th m columns of left @ step_1 (step_1
+    itself for the identity), run once per first symbol k.  Every site is
+    one GEMM, and so is Tr(X Z) for all pairs of one first symbol, after one
+    transposed copy of its block (none when r = 1); it is written straight
+    into that symbol's block of the output.  The blocks stay per symbol for
+    the peak memory: one block of d^(h-1) half-words sits beside the output
+    and the second half at a time, where a first half shared by all symbols
+    would hold more.  `np.dot` writes the product because `np.matmul`'s
+    ufunc path allocates beside it.
     """
     h = (len(steps) + 1) // 2
-    r, m = left.shape
-    z = right
-    if h < len(steps):  # the chain from the identity, whose first GEMM is step_{h+1} itself
-        z = _sum_chain(steps[h], steps[h + 1 :]).reshape(-1, m) @ right
+    m = steps.shape[1]
+    r = m if left is None else len(left)
+    if h < len(steps):
+        z = _sum_chain(steps[h], steps[h + 1 :]).reshape(-1, m)
+        if right is not None:
+            z = z @ right
+    else:
+        z = np.eye(m, dtype=steps.dtype) if right is None else right
     z = z.reshape(m, -1, r).transpose(2, 0, 1).reshape(r * m, -1)  # [(r, j), w]
-    first = left @ steps[0]
+    first = steps[0] if left is None else left @ steps[0]
     d = first.shape[1] // m
     rows = d ** (h - 1)
     out = np.empty((d, rows, z.shape[1]), np.result_type(first, z))
@@ -223,28 +231,33 @@ def build_state(
     """
     _check_cap(size_cap, (t.d, n_sites))
     steps = _over_sites(t._steps, t.translation_invariant, n_sites)
-    eye = np.eye(t.m, dtype=np.complex128)
-    return TensorVector((t.d,) * n_sites, _word_sums(steps, eye, eye))
+    return TensorVector((t.d,) * n_sites, _word_sums(steps))
 
 
-def state_norm(t: SiteTensorSet, n_sites: int) -> float:
+def state_norm(t: SiteTensorSet, n_sites: int, size_cap: int = DEFAULT_SIZE_CAP) -> float:
     """Norm of the periodic state via the transfer operator, without the dense state.
 
-    The row-major matrix of M |-> sum_k A_k M A_k^dag is sum_k A_k (x) conj(A_k);
-    the squared norm is the trace of the product of these site matrices,
-    each computed once per stored site.  A product that overflows gives inf,
-    as the dense norm does, with no warning: the entries are finite, so a nan
+    The row-major matrix of M |-> sum_k A_k M A_k^dag is E = sum_k A_k (x)
+    conj(A_k); its (i, i') block of m x m entries is the d-term product
+    A[:, i, :]^T conj(A[:, i', :]), so one batched matmul writes the E of
+    every stored site, L m^4 entries, and the size cap counts them.  The
+    squared norm is the trace of the product of these site matrices, a chain
+    that starts at site 1's matrix.  A product that overflows gives inf, as
+    the dense norm does, with no warning: the entries are finite, so a nan
     can only come from an inf met by a zero or by an inf of the other sign.
-    The loop takes one step per site, so a site count above `DEFAULT_SIZE_CAP`
-    is refused before any site is spread.
+    The loop takes one step per site, so a site count above ``size_cap`` is
+    refused before any site is spread.
     """
-    if n_sites > DEFAULT_SIZE_CAP:
-        raise ValueError(f"{n_sites} sites exceed size cap {DEFAULT_SIZE_CAP}")
+    if n_sites > size_cap:
+        raise ValueError(f"{n_sites} sites exceed size cap {size_cap}")
     a = t._stack
     m2 = t.m * t.m
+    _check_cap(size_cap, (len(a), 1), (t.m, 4), what="transfer matrices")
     with np.errstate(over="ignore", invalid="ignore"):
-        stored = (a[:, :, :, None, :, None] * a.conj()[:, :, None, :, None, :]).sum(axis=1)
+        # [l, i, i', j, j'] = sum_k a[l, k, i, j] conj(a[l, k, i', j'])
+        rows, cols = a.transpose(0, 2, 3, 1)[:, :, None], a.conj().transpose(0, 2, 1, 3)[:, None]
+        stored = np.matmul(rows, cols)
         transfers = _over_sites(stored.reshape(-1, m2, m2), t.translation_invariant, n_sites)
-        prod = _sum_chain(np.eye(m2, dtype=np.complex128), transfers)
+        prod = _sum_chain(transfers[0], transfers[1:])
         norm_sq = complex(np.trace(prod)).real
     return math.sqrt(max(norm_sq, 0.0)) if math.isfinite(norm_sq) else math.inf

@@ -330,6 +330,34 @@ def test_long_chain_measurement_equals_direct_build():
     assert np.max(np.abs(measured.entries - direct.entries)) <= 1e-10
 
 
+def _literal_fold(model, n_keep, n):
+    """r = T_{N+1} ... T_n 1 with every step taken, each T_l built from site l's matrices."""
+    u, chi = model.site_stacks(n)
+    r = np.ones(model.m, dtype=np.complex128)
+    for l in reversed(range(n_keep, n)):
+        t_l = (u[l].conj() * u[l]) * (chi[l].conj() * chi[l]).sum(axis=1)[:, None]
+        r = t_l @ r
+    return r
+
+
+@pytest.mark.parametrize("name, theta", [("ghz", None), ("aklt-derived", None), ("theta", 0.7)])
+def test_fold_exit_at_a_fixed_point_is_exact(name, theta):
+    model = catalog.get(name, theta=theta).model
+    assert model.translation_invariant
+    for n_keep, n in [(1, 1), (1, 2), (3, 4), (3, 50), (2, 1999), (3, 2000)]:
+        fold = bridge._trailing_fold(model, n_keep, n)
+        assert fold.tobytes() == _literal_fold(model, n_keep, n).tobytes()
+
+
+def test_fold_of_a_drifting_model_takes_every_step():
+    model = catalog.get("cluster").model
+    for n in (200, 2000):
+        full = _literal_fold(model, 3, n)
+        # r still moves at the last step, so no step before it reached a fixed point
+        assert full.tobytes() != _literal_fold(model, 3, n - 1).tobytes()
+        assert bridge._trailing_fold(model, 3, n).tobytes() == full.tobytes()
+
+
 def test_measurement_size_cap_counts_kept_block():
     model = catalog.random_model(3, 2, 6, 53)
     needed = 3 * 3 * 2**4

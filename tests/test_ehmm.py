@@ -24,6 +24,7 @@ from mpshmm.ehmm import (
     EhmmModel,
     _chain_step,
     _check_cap,
+    _over_sites,
     _sum_chain,
     _summed_steps,
     build_psi_hn,
@@ -41,6 +42,7 @@ from mpshmm.entropy import (
 )
 from mpshmm.linalg import TensorVector, as_matrix
 from mpshmm.mps import SiteTensorSet, build_state, coefficient, state_norm
+from mpshmm.selftest import _criterion_models
 
 # sign variant whose rows realize e_i -> (e_i x e_i + (-1)^i e_i x e_{1-i})/sqrt(2)
 HADAMARD_VARIANT = np.array([[1, 1], [-1, 1]], dtype=complex) / np.sqrt(2)
@@ -611,6 +613,56 @@ def test_site_stacks_serve_views_of_the_stored_stacks():
     t = tensors_from_ehmm(model)
     stack = t.site_stack(5)
     assert stack.shape == (5, 2, 2, 2) and np.shares_memory(stack, t.sites[0][0])
+
+
+def test_translation_invariant_sites_are_a_read_only_zero_stride_view():
+    stack = np.arange(8, dtype=np.complex128).reshape(1, 2, 4)  # a writeable stack
+    view = _over_sites(stack, True, 5)
+    assert view.shape == (5, 2, 4) and view.strides[0] == 0
+    assert np.shares_memory(view, stack) and all(np.array_equal(s, stack[0]) for s in view)
+    assert not view.flags.writeable and stack.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        view[4, 1, 3] = 0
+
+
+# ---- forward-pass factors, derived once per model ----
+
+FORWARD_PASS_FACTORS = (
+    "_transitions",
+    "_observation_steps",
+    "_kept_steps",
+    "_fold_transfers",
+    "_boundary_weight",
+)
+
+
+def _fresh(model):
+    """A new model on the same arrays, with nothing derived yet."""
+    return EhmmModel(model.pi, model.hidden, model.emission, model.translation_invariant)
+
+
+def test_forward_pass_factors_are_derived_on_first_read_and_kept_read_only():
+    for _, roster_model in _criterion_models():
+        model = _fresh(roster_model)
+        assert not set(FORWARD_PASS_FACTORS) & set(vars(model))  # construction derives none
+        for name in FORWARD_PASS_FACTORS:
+            factor = getattr(model, name)
+            assert getattr(model, name) is factor
+            assert not factor.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                factor[(0,) * factor.ndim] = 0
+            assert factor.size <= len(model.hidden) * model.d * model.m**2
+
+
+def test_forward_passes_on_fresh_and_warmed_models_agree_bit_for_bit():
+    for _, model in _criterion_models():
+        observed_mps(model, 1, 1), build_psi_on(model, 1)  # warm the roster model
+        for n_keep in (1, 2, 3, 4):
+            for n in (n_keep, n_keep + 1, n_keep + 2):
+                warm = observed_mps(model, n_keep, n).entries
+                assert warm.tobytes() == observed_mps(_fresh(model), n_keep, n).entries.tobytes()
+            warm = build_psi_on(model, n_keep).entries
+            assert warm.tobytes() == build_psi_on(_fresh(model), n_keep).entries.tobytes()
 
 
 # ---- chain builders against the literal einsum contractions ----

@@ -9,12 +9,13 @@ from hypothesis import strategies as st
 
 from mpshmm import catalog
 from mpshmm.bridge import tensors_from_ehmm
-from mpshmm.ehmm import DEFAULT_SIZE_CAP
+from mpshmm.ehmm import DEFAULT_SIZE_CAP, _over_sites
 from mpshmm.linalg import TensorVector
 from mpshmm.mps import (
     SiteTensorSet,
     build_state,
     coefficient,
+    _word_sums,
     gauge_check,
     state_norm,
 )
@@ -205,6 +206,18 @@ def test_build_state_peak_memory_near_output_size():
     assert peak <= 1.2 * entries.nbytes
 
 
+def test_build_state_equals_the_kernel_with_an_explicit_identity_boundary():
+    # build_state leaves the identity boundary out; multiplying by it changes no entry
+    cases = [(catalog.get(name).tensors, n) for name in ("aklt", "cluster") for n in (1, 2, 5, 6)]
+    for seed, (m, d) in enumerate([(2, 2), (3, 2), (2, 3)]):
+        t = random_site_tensors(np.random.default_rng(seed), m, d, 5, False)
+        cases += [(t, n) for n in (1, 2, 3, 4, 5)]
+    for t, n in cases:
+        steps = _over_sites(t._steps, t.translation_invariant, n)
+        eye = np.eye(t.m, dtype=np.complex128)
+        assert np.array_equal(build_state(t, n).entries, _word_sums(steps, eye, eye))
+
+
 # ---- norm via transfer operator ----
 
 
@@ -244,3 +257,24 @@ def test_transfer_norm_refuses_site_counts_past_the_size_cap(n):
     with pytest.raises(ValueError) as info:
         state_norm(catalog.get("ghz").tensors, n)
     assert str(info.value) == f"{n} sites exceed size cap {DEFAULT_SIZE_CAP}"
+
+
+def test_transfer_norm_counts_its_transfer_matrices():
+    # the transfer matrices hold L m^4 entries: m = 40 fits the default cap, so
+    # the call must peak below the cap's bytes; a smaller cap refuses them
+    t = tensors_from_ehmm(catalog.random_model(40, 2, 1, 3), require_unitary=False)
+    tracemalloc.start()
+    try:
+        norm = state_norm(t, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * DEFAULT_SIZE_CAP
+    assert np.isclose(norm, build_state(t, 1).norm(), rtol=1e-12)
+    with pytest.raises(ValueError) as info:
+        state_norm(t, 1, size_cap=40**4 - 1)
+    assert str(info.value) == f"transfer matrices of {40**4} entries exceeds size cap {40**4 - 1}"
+    cluster = catalog.get("cluster").tensors
+    assert np.isclose(state_norm(cluster, 5, size_cap=16), build_state(cluster, 5).norm())
+    with pytest.raises(ValueError, match="^5 sites exceed size cap 4$"):
+        state_norm(cluster, 5, size_cap=4)

@@ -22,10 +22,11 @@ process and shared read-only: whether its hidden stack is unitary
 (`EhmmModel.hidden_unitary`), its site tensors (`bridge.tensors_from_ehmm`)
 and the factors of its forward passes over the L stored sites (the classical
 transitions |U|^2, the steps of `build_psi_on` and of `bridge.observed_mps`,
-the latter's fold transfers and its boundary weight).  Each is built on
-first use and kept for the model's lifetime; none holds more than the
-L * d * m^2 entries of the site tensors, so arrays that grow with a site
-count or with d^2 (sigma's pair steps) are still built per call.
+the latter's fold transfers and its boundary weight, sigma's pair steps and
+last-site pair weights, and whether every emission Gram matrix is diagonal).
+Each is built on first use and kept for the model's lifetime.  None grows
+with a site count, which arrays built per call do; only the pair steps hold
+more than the L * d * m^2 entries of the site tensors, L * m^2 * d^2.
 
 The joint state on n sites lives in H^(n+1) (x) K^n and has coefficients
 
@@ -137,6 +138,31 @@ class EhmmModel:
         """`bridge.observed_mps`'s (L, m, m) trailing transfers |U|^2 * sum_k |chi[:, k]|^2."""
         u, chi = self._hidden, self._emission
         return _read_only((u.conj() * u) * (chi.conj() * chi).sum(axis=2)[..., None])
+
+    @functools.cached_property
+    def _pair_steps(self) -> np.ndarray:
+        """Sigma's (L, m, d*d*m) steps chi[i, k] conj(chi[i, k']) |U|^2[i, j] over pair symbols (k, k')."""
+        return _read_only(_summed_steps(_emission_pairs(self._emission), self._transitions))
+
+    @functools.cached_property
+    def _pair_last(self) -> np.ndarray:
+        """Sigma's (L, m, d*d) last-site weights chi[i, k] conj(chi[i, k']) sum_j |U|^2[i, j]."""
+        pairs = _emission_pairs(self._emission)
+        return _read_only(pairs * self._transitions.sum(axis=2)[..., None])
+
+    @functools.cached_property
+    def _gram_diagonal(self) -> np.ndarray | None:
+        """(L, m) diagonals g of the Grams G = conj(chi) chi^T, or None unless each is exactly diagonal.
+
+        A diagonal G means orthogonal emission rows, so that sigma's spectrum
+        follows from the hidden chain alone (`entropy.check_bound`).
+        """
+        chi = self._emission
+        gram = chi.conj() @ chi.transpose(0, 2, 1)
+        diagonal = gram.diagonal(axis1=1, axis2=2)
+        if np.count_nonzero(gram) != np.count_nonzero(diagonal):
+            return None
+        return _read_only(diagonal.real.copy())
 
     @functools.cached_property
     def _boundary_weight(self) -> np.ndarray:
@@ -306,6 +332,11 @@ def _summed_steps(alphabet: np.ndarray, trans: np.ndarray) -> np.ndarray:
     """`_sum_chain`'s steps of the L stored sites: step[i, (k, j)] = alphabet[i, k] * trans[i, j]."""
     steps = alphabet[..., None] * trans[:, :, None, :]
     return steps.reshape(len(steps), trans.shape[1], -1)
+
+
+def _emission_pairs(chi: np.ndarray) -> np.ndarray:
+    """The (L, m, d*d) pair alphabet chi[i, k] conj(chi[i, k']) of an (L, m, d) emission stack."""
+    return (chi[..., None] * chi.conj()[:, :, None]).reshape(*chi.shape[:2], -1)
 
 
 def _sum_chain(x: np.ndarray, steps: Sequence[np.ndarray]) -> np.ndarray:

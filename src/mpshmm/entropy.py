@@ -19,12 +19,24 @@ evaluated here.  Because the MPS density has rank one, its relative entropy
 needs only the observation density's spectrum, and the dephased pair needs
 no eigendecomposition at all.  Natural logarithms throughout.
 
+That spectrum has two routes (`check_bound`).  sigma is the mixture
+sum_i P(i) |phi_i><phi_i| over hidden paths i of the product vectors phi_i
+= (x)_l chi_l[i_l, :], with P the hidden chain's path probabilities.  When
+every emission Gram matrix conj(chi_l) chi_l^T is exactly diagonal, the
+phi_i are orthogonal, and the spectrum is P times their squared norms, with
+no sigma and no `eigh` (the diagonal route); AB and BA share their nonzero
+spectrum (Horn and Johnson, Matrix Analysis, Thm 1.3.22), and P is the HMM
+forward pass over the hidden chain alone (Rabiner 1989).  Every other model
+forms sigma by the trace route and eigendecomposes it (the dense route, also
+the oracle the tests hold the diagonal route to).
+
 Every divergence, literal oracle included, goes through one support rule
-(`_divergence`) whose cuts are relative to scale: an eigenvalue is zero at
-or below max * dim * finfo.eps, a word weight at or below max * finfo.eps.
-Nothing about it is settable.  Because the rule is scale-invariant, a
-divergence of the literal density follows from the unit-trace one by
-S(t rho || sigma) = t S(rho || sigma) + t ln t.
+(`_divergence`, with its rank-one case `_rank_one_divergence` and its
+word-by-word case `_word_divergences`) whose cuts are relative to scale: an
+eigenvalue is zero at or below max * dim * finfo.eps, a word weight at or
+below max * finfo.eps.  Nothing about it is settable.  Because the rule is
+scale-invariant, a divergence of the literal density follows from the
+unit-trace one by S(t rho || sigma) = t S(rho || sigma) + t ln t.
 """
 
 from __future__ import annotations
@@ -36,7 +48,6 @@ import numpy as np
 
 from .bridge import tensors_from_ehmm
 from .ehmm import DEFAULT_SIZE_CAP, EhmmModel, _check_cap, _over_sites, _require_pi, _sum_chain
-from .ehmm import _summed_steps
 from .linalg import _descending_eigh, _require_hermitian, as_matrix
 from .mps import SiteTensorSet, _chain_steps, _word_sums, build_state
 
@@ -123,7 +134,9 @@ def observation_density_formula(
     with e the normalized all-ones vector; bra and ket words each run over
     all d^N values independently.  All d^(2N) entries come from one
     split-half contraction over the d^2 pair symbols (k_l, k'_l).  With pi
-    non-negative the matrix is a sum of Gram matrices, so PSD.
+    non-negative the matrix is a sum of Gram matrices, so PSD.  The size cap
+    counts the d^(2N) entries, then the second half's chain over the pair
+    words, m^2 d^(2 floor(N/2)) entries.
     """
     pi = _require_pi(pi, t.m)
     # the pair family A_k o conj(A_k') over d*d symbols (k, k'), one word
@@ -131,6 +144,7 @@ def observation_density_formula(
     a = t._stack
     pairs = (a[:, :, None] * a.conj()[:, None]).reshape(len(a), -1, t.m, t.m)
     _check_cap(size_cap, (t.d, 2 * n_sites), what="observation density")
+    _check_cap(size_cap, (t.m, 2), (t.d, 2 * (n_sites // 2)), what="second-half chain")
     steps = _over_sites(_chain_steps(pairs), t.translation_invariant, n_sites)
     e_vec = np.ones((t.m, 1)) / math.sqrt(t.m)
     sums = _word_sums(steps, pi[None], e_vec)
@@ -144,24 +158,22 @@ def observation_density_trace(
 
     sigma[w, w'] = sum_{i_1..i_{N+1}} pi[i_1] prod_l |U_l[i_l, i_{l+1}]|^2
     chi_l[i_l, k_l] conj(chi_l[i_l, k'_l]) is `_sum_chain` from pi over the
-    pair alphabet (k, k'), one GEMM per site; the joint state is never formed.
-    The last step sums i_{N+1} and writes sigma, d^(2N) entries, from the
-    chain after site N-1, m d^(2N-2) entries; the size cap counts both.  The
-    pair-axis unzip copies sigma once, and the chain is dropped before the
-    `DensityMatrix` check, so the call peaks at two sigma-sized arrays.
+    pair alphabet (k, k'), one GEMM per site over the model's pair steps,
+    which it derives once; the joint state is never formed.  The last step
+    sums i_{N+1} and writes sigma, d^(2N) entries, from the chain after site
+    N-1, m d^(2N-2) entries; the size cap counts both.  The pair-axis unzip
+    copies sigma once, and the chain is dropped before the `DensityMatrix`
+    check, so the call peaks at two sigma-sized arrays.
     """
-    m, d, ti = model.m, model.d, model.translation_invariant
-    chi = model._emission
-    pairs = (chi[..., None] * chi.conj()[:, :, None]).reshape(len(chi), m, d * d)  # [l, i, (k, k')]
-    _check_cap(size_cap, (d, 2 * n_sites), what="observation density")
-    _check_cap(size_cap, (m, 1), (d, 2 * n_sites - 2), what="observation-density recursion")
-    trans = model._transitions
-    steps = _over_sites(_summed_steps(pairs, trans), ti, n_sites)
-    last = _over_sites(pairs * trans.sum(axis=2)[..., None], ti, n_sites)[-1]
+    _check_cap(size_cap, (model.d, 2 * n_sites), what="observation density")
+    _check_cap(size_cap, (model.m, 1), (model.d, 2 * n_sites - 2), what="observation-density recursion")
+    ti = model.translation_invariant
+    steps = _over_sites(model._pair_steps, ti, n_sites)
+    last = _over_sites(model._pair_last, ti, n_sites)[-1]
     x = _sum_chain(model.pi.astype(np.complex128)[None], [*steps[:-1], last])
-    sigma = _unzip_pairs(x, d, n_sites)
-    del x, steps, last  # the check below holds sigma alone
-    return DensityMatrix(sigma, (d,) * n_sites)
+    sigma = _unzip_pairs(x, model.d, n_sites)
+    del x  # the check below holds sigma alone
+    return DensityMatrix(sigma, (model.d,) * n_sites)
 
 
 def diagonal_channel(rho: DensityMatrix) -> DensityMatrix:
@@ -169,34 +181,71 @@ def diagonal_channel(rho: DensityMatrix) -> DensityMatrix:
     return DensityMatrix(np.diag(np.diag(rho.matrix)), rho.factor_dims)
 
 
-def _divergence(a: np.ndarray, b: np.ndarray, overlap: np.ndarray | None = None) -> float:
+_EPS = np.finfo(np.float64).eps
+
+
+def _zero_set(x: np.ndarray, dim: int) -> np.ndarray:
+    """Where the spectrum or weights x count as zero: at or below max * dim * finfo.eps."""
+    return x <= x.max() * dim * _EPS
+
+
+def _leaks(mass: np.ndarray | float, dim: int) -> np.ndarray | bool:
+    """Whether a row's mass on the other side's zero set exceeds dim * finfo.eps."""
+    return mass > dim * _EPS
+
+
+def _divergence(a: np.ndarray, b: np.ndarray, overlap: np.ndarray) -> float:
     """sum a ln a - sum a W ln b over a's support; +inf if that support leaks onto b's zeros.
 
-    ``overlap`` is W[i, j] = |<a_i|b_j>|^2 for two spectra from `eigh`, or
-    None for two diagonals compared word by word (W the identity).  What
-    counts as zero is relative to scale: a spectrum value at or below
-    max * dim * finfo.eps (numerical rank, as numpy's `matrix_rank`), a
-    directly summed word weight at or below max * finfo.eps.  A row of a's
-    support leaks when its mass on b's zero set exceeds dim * finfo.eps.
-    Both cuts are scale-invariant, so S(t rho || sigma) = t S(rho || sigma)
-    + t ln t holds for the computed values too.
+    ``overlap`` is W[i, j] = |<a_i|b_j>|^2 for two spectra from `eigh`.
+    What counts as zero is relative to scale (`_zero_set`): a spectrum value
+    at or below max * dim * finfo.eps (numerical rank, as numpy's
+    `matrix_rank`).  A row of a's support leaks when its mass on b's zero
+    set exceeds dim * finfo.eps (`_leaks`).  Two diagonals compared word by
+    word (W the identity) take `_word_divergences`, whose cut is max *
+    finfo.eps.  Both cuts are scale-invariant, so S(t rho || sigma) = t
+    S(rho || sigma) + t ln t holds for the computed values too.
     """
-    tiny = np.finfo(np.float64).eps
-    dim = 1 if overlap is None else b.size
-    keep = a > a.max() * dim * tiny
-    b_zero = b <= b.max() * dim * tiny
-    if overlap is None:
-        if np.any(keep & b_zero):
-            return math.inf
-        terms = np.divide(a, b, out=np.ones_like(a), where=keep)
-        np.log(terms, out=terms)
-        return float(a @ terms)
+    keep = ~_zero_set(a, b.size)
+    b_zero = _zero_set(b, b.size)
     w = overlap[keep]
-    if np.any(w[:, b_zero].sum(axis=1) > b.size * tiny):
+    if np.any(_leaks(w[:, b_zero].sum(axis=1), b.size)):
         return math.inf
     a_kept = a[keep]
     term_a = float(a_kept @ np.log(a_kept))
     return term_a - float(a_kept @ w[:, ~b_zero] @ np.log(b[~b_zero]))
+
+
+def _rank_one_divergence(b: np.ndarray, weights: np.ndarray, dim: int) -> float:
+    """`_divergence` of |v><v| against eigenvalues b of a dim x dim matrix: -sum_j w_j ln b_j.
+
+    ``weights`` are |<b_j|v>|^2; v has no mass on eigenvectors left
+    unlisted.  The rank-one case of the rule: b_j is zero at or below max *
+    dim * finfo.eps, and v leaks when its mass there exceeds dim * finfo.eps.
+    """
+    b_zero = _zero_set(b, dim)
+    if _leaks(float(weights[b_zero].sum()), dim):
+        return math.inf
+    # 0.0 - x, as in `_divergence` with a = [1]: an S of zero reads +0.0, not -0.0
+    return 0.0 - float(weights[~b_zero] @ np.log(b[~b_zero]))
+
+
+def _word_divergences(a: np.ndarray, *bs: np.ndarray) -> list[float]:
+    """sum a ln(a / b) over a's support for each word-weight vector b, sharing that support.
+
+    A word is in a's support above max(a) * finfo.eps, and the divergence
+    is +inf when a kept word's b is at or below max(b) * finfo.eps.
+    """
+    keep = ~_zero_set(a, 1)
+    values = []
+    for b in bs:
+        if np.any(keep & _zero_set(b, 1)):
+            values.append(math.inf)
+            continue
+        terms = np.divide(a, b, out=np.ones_like(a), where=keep)
+        np.log(terms, out=terms)
+        values.append(float(a @ terms))
+    return values
 
 
 def _unscaled(value: float, t: float) -> float:
@@ -248,7 +297,9 @@ def _word_weights(
     ``psi`` holds the trace coefficients Tr prod A (the `build_state`
     entries), so p is the diagonal of (1/m)|psi><psi| and sums to its trace.
     q is the diagonal of the observation density by the Schur formula, from
-    one boundary-vector contraction over the real family |A_k|^2.
+    one boundary-vector contraction over the real family |A_k|^2.  Its
+    second-half chain has the m^2 d^floor(N/2) entries that `build_state`,
+    which both callers run first under the same cap, counts.
     """
     p = np.abs(psi)
     p **= 2
@@ -282,7 +333,7 @@ def bound_rhs(
             raise ValueError("cannot trace-normalize a zero state")
         return 0.0
     p /= trace
-    value = _divergence(p, q)
+    (value,) = _word_divergences(p, q)
     return value if trace_normalized else _unscaled(value, trace)
 
 
@@ -335,46 +386,110 @@ def check_bound(
 ) -> BoundReport:
     """Run the full lower-bound pipeline for a model at N sites.
 
-    The observation density sigma comes from the trace route (the
-    hidden-chain recursion, which never forms the joint state) and is
-    eigendecomposed once; the model was validated when it was built.  Three
-    divergences are evaluated, all for the unit-trace MPS density |v><v|,
-    v = psi / |psi|: S = -<v|log sigma|v> from sigma's spectrum (the density
-    has rank one), the dephased S between the word weights p = |v|^2 and
-    diag(sigma), and the RHS between p and the Schur-formula diagonal.  Each
-    goes through `relative_entropy`'s support rule, so criterion 5's
-    identity (RHS = dephased S) compares like with like.  The literal values,
-    for (1/m)|psi><psi| with trace t = |psi|^2 / m, follow exactly as
-    t * S + t ln t, because the rule is scale-invariant.
+    Three divergences are evaluated, all for the unit-trace MPS density
+    |v><v|, v = psi / |psi|: S = -<v|log sigma|v> from the observation
+    density sigma's spectrum (the MPS density has rank one), the dephased S
+    between the word weights p = |v|^2 and diag(sigma), and the RHS between
+    p and the Schur-formula diagonal.  Each goes through `_divergence`'s
+    support rule (S as its rank-one case, the last two in one pass over p's
+    support), so criterion 5's identity (RHS = dephased S) compares like
+    with like.  The literal values, for (1/m)|psi><psi| with trace t =
+    |psi|^2 / m, follow exactly as t * S + t ln t, because the rule is
+    scale-invariant.  The model was validated when it was built.
 
-    Memory: sigma is the only D x D array held before `eigh`; its builder
-    drops the chain before the Hermitian check, which holds one real D x D
-    temporary at a time.  `eigh` adds the eigenvectors, handed back as a view,
-    and the overlap weights |<v|e_i>|^2 are one vector-matrix product.  So
-    sigma plus its eigenvectors is the traced peak; LAPACK's workspace is
-    allocated outside numpy's tracing.
+    sigma's spectrum comes from one of two routes, chosen once per model:
+
+    - Diagonal route, when every emission Gram matrix G_l = conj(chi_l)
+      chi_l^T is exactly diagonal (GHZ, cluster).  sigma is the mixture
+      sum_i P(i) |phi_i><phi_i| of the product vectors phi_i = (x)_l
+      chi_l[i_l, :] over the m^N hidden paths, with P the hidden chain from
+      pi and |U|^2; the phi_i are then orthogonal, so sigma's nonzero
+      eigenvalues are P(i) prod_l g_l(i_l), g_l the diagonal of G_l, with
+      weights |(K^H v)_i|^2 / prod_l g_l(i_l), K the d^N x m^N matrix of the
+      phi_i.  K^H v is N mode products with conj(chi_l).  Those weights are
+      all of v: psi = K c with c_i = prod_l U_l[i_l, i_{l+1}] over periodic
+      paths, so v has no mass outside K's range, where sigma's remaining
+      eigenvalues, all 0, lie.
+      diag(sigma) is the pair chain over the d symbols (k, k).  No D x D
+      array and no `eigh`: every array holds at most d^N entries, since
+      orthogonal rows need m <= d, so the state cap counts them all.
+    - Dense route otherwise: sigma from `observation_density_trace`, one
+      `DensityMatrix` eigendecomposed once.  sigma is the only D x D array
+      held before `eigh`; its builder drops the chain before the Hermitian
+      check, which holds one real D x D temporary at a time.  `eigh` adds
+      the eigenvectors, handed back as a view, and the overlap weights
+      |<v|e_i>|^2 are one vector-matrix product.  So sigma plus its
+      eigenvectors is the traced peak; LAPACK's workspace is allocated
+      outside numpy's tracing.
     """
     # an oversized state is refused as such; then sigma, whose recursion peaks holding nothing else
     _check_cap(size_cap, (model.d, n_sites))
-    sigma = observation_density_trace(model, n_sites, size_cap)
+    g = model._gram_diagonal
+    if g is None:
+        sigma = observation_density_trace(model, n_sites, size_cap)
+        vals, vecs = _spectrum(sigma)
     t = tensors_from_ehmm(model, require_unitary=False)
     psi = build_state(t, n_sites, size_cap).entries
 
-    vals, vecs = _spectrum(sigma)
     p, q_formula = _word_weights(t, model.pi, n_sites, psi)
     trace_rho = float(p.sum())
     if trace_rho <= 0.0:
         raise ValueError("cannot normalize a traceless density matrix")
     p /= trace_rho
-    q = np.diag(sigma.matrix).real
-    v = psi / math.sqrt(trace_rho * t.m)
-    weights = np.abs(v.conj() @ vecs) ** 2
+    if g is None:
+        v = psi / math.sqrt(trace_rho * t.m)
+        s_value = _rank_one_divergence(vals, np.abs(v.conj() @ vecs) ** 2, sigma.dim)
+        q = np.diag(sigma.matrix).real
+        trace_sigma = sigma.trace_value
+    else:
+        s_value, q = _diagonal_route(model, n_sites, g, psi, trace_rho * t.m)
+        trace_sigma = float(q.sum())
+    rhs_value, s_diag = _word_divergences(p, q_formula, q)
 
     return BoundReport(
         trace_rho=trace_rho,
-        trace_sigma=sigma.trace_value,
-        s_value_normalized=_divergence(np.ones(1), vals, weights[None]),
-        rhs_value_normalized=_divergence(p, q_formula),
-        s_diag_normalized=_divergence(p, q),
+        trace_sigma=trace_sigma,
+        s_value_normalized=s_value,
+        rhs_value_normalized=rhs_value,
+        s_diag_normalized=s_diag,
         hidden_unitary=model.hidden_unitary,
     )
+
+
+def _diagonal_route(
+    model: EhmmModel, n_sites: int, g: np.ndarray, psi: np.ndarray, norm_sq: float
+) -> tuple[float, np.ndarray]:
+    """S(|v><v| || sigma), v = psi / sqrt(norm_sq), and diag(sigma), for diagonal emission Grams.
+
+    ``g`` is the (L, m) stack of those Grams' diagonals.  The weights are
+    |w_i|^2 / norm_sq with w = K^H psi / sqrt(prod_l g_l), N mode products
+    with conj(chi_l) / sqrt(g_l): each takes the leading symbol axis of the
+    chain and appends the hidden index last, one GEMM.  The eigenvalues
+    P(i) prod_l g_l(i_l) are the hidden chain from pi over the m^N paths,
+    each step |U_l|^2 g_{l+1} and the last |U_N|^2 summed over its target.
+    The cut is taken at sigma's dimension d^N.  diag(sigma) is sigma's pair
+    chain over the d symbols (k, k) alone, whose entries are real.
+    """
+    m, d, ti = model.m, model.d, model.translation_invariant
+    modes = _over_sites(model._emission.conj() / np.sqrt(g)[..., None], ti, n_sites)
+    w = psi
+    for mode in modes:
+        w = w.reshape(d, -1).T @ mode.T
+    weights = np.abs(w.reshape(-1))
+    del w
+    weights **= 2
+    weights /= norm_sq
+    trans = _over_sites(model._transitions, ti, n_sites)
+    g_sites = _over_sites(g, ti, n_sites)
+    eig = model.pi * g_sites[0]
+    for step in trans[:-1] * g_sites[1:, None]:  # |U_l|^2[i, j] g_{l+1}[j]
+        eig = (eig.reshape(-1, m, 1) * step).reshape(-1)
+    eig = (eig.reshape(-1, m) * trans[-1].sum(axis=1)).reshape(-1)
+    s_value = _rank_one_divergence(eig, weights, d**n_sites)
+    del weights, eig
+
+    stored = model._pair_steps
+    steps = stored.reshape(*stored.shape[:2], d * d, m)[:, :, :: d + 1].real  # a view: symbols (k, k)
+    steps = _over_sites(np.ascontiguousarray(steps).reshape(stored.shape[0], m, -1), ti, n_sites)
+    last = _over_sites(np.ascontiguousarray(model._pair_last[:, :, :: d + 1].real), ti, n_sites)[-1]
+    return s_value, _sum_chain(model.pi[None], [*steps[:-1], last]).reshape(-1)

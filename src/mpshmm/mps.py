@@ -227,9 +227,12 @@ def build_state(
     set's cached steps.  It is a different network from the transfer-operator
     route in `state_norm` and from the partial-measurement forward pass over
     U chi; the oracles that share no code with it are the scalar
-    `coefficient` and the literal word loops of the tests.
+    `coefficient` and the literal word loops of the tests.  The size cap
+    counts the d^N output, then the second half's chain, m^2 d^floor(N/2)
+    entries, the largest array the contraction forms beside it.
     """
     _check_cap(size_cap, (t.d, n_sites))
+    _check_cap(size_cap, (t.m, 2), (t.d, n_sites // 2), what="second-half chain")
     steps = _over_sites(t._steps, t.translation_invariant, n_sites)
     return TensorVector((t.d,) * n_sites, _word_sums(steps))
 

@@ -665,6 +665,36 @@ def test_forward_passes_on_fresh_and_warmed_models_agree_bit_for_bit():
             assert warm.tobytes() == build_psi_on(_fresh(model), n_keep).entries.tobytes()
 
 
+SIGMA_FACTORS = ("_pair_steps", "_pair_last", "_gram_diagonal")
+
+
+def test_sigma_factors_are_derived_on_first_read_and_leave_sigma_bit_identical():
+    for name, roster_model in _criterion_models():
+        model = _fresh(roster_model)
+        assert not set(SIGMA_FACTORS) & set(vars(model))  # construction derives none
+        for n in (1, 2, 3):
+            fresh = observation_density_trace(_fresh(model), n).matrix
+            assert observation_density_trace(model, n).matrix.tobytes() == fresh.tobytes()
+        for attr in ("_pair_steps", "_pair_last"):
+            factor = getattr(model, attr)
+            assert getattr(model, attr) is factor and not factor.flags.writeable
+            assert factor.size <= len(model.hidden) * model.m**2 * model.d**2
+        # orthogonal emission rows (diagonal Grams) only in GHZ and the cluster
+        assert (model._gram_diagonal is not None) == (name in ("ghz", "cluster")), name
+
+
+def test_gram_diagonal_needs_exactly_zero_off_diagonal_entries():
+    ghz = catalog.get("ghz").model
+    assert np.array_equal(ghz._gram_diagonal, np.ones((1, 2)))
+    assert not ghz._gram_diagonal.flags.writeable
+    # two rows of a unitary from QR are orthogonal only up to rounding: the dense route
+    rng = np.random.default_rng(12)
+    q, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+    chi = q.T[:2]
+    assert 0 < abs(np.vdot(chi[0], chi[1])) < 1e-15
+    assert EhmmModel(ghz.pi, ghz.hidden, (chi,), True)._gram_diagonal is None
+
+
 # ---- chain builders against the literal einsum contractions ----
 
 

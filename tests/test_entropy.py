@@ -210,10 +210,11 @@ def test_relative_entropy_checks_density_matrices_only_when_built(monkeypatch):
 
 
 def test_check_bound_psd_message_states_the_bound(monkeypatch):
+    # theta's emission rows are not orthogonal, so check_bound takes the dense route's sigma
     sigma = DensityMatrix(np.diag([1.0, -0.5]), (2,))
     monkeypatch.setattr(entropy, "observation_density_trace", lambda *args: sigma)
     with pytest.raises(ValueError, match=r"smallest eigenvalue -5\.000e-01 is below -1e-12$"):
-        check_bound(catalog.get("ghz").model, 1)
+        check_bound(catalog.get("theta", theta=math.pi / 4).model, 1)
 
 
 def test_relative_entropy_nonnegative_zero_iff_equal():
@@ -446,6 +447,9 @@ def _complex_eigh(a):
     return vals[::-1], vecs[:, ::-1]
 
 
+# a model whose emission Grams read as not diagonal: check_bound takes the dense route
+DENSE_ROUTE = property(lambda model: None)
+
 REAL_SIGMA_MODELS = [
     ("ghz", None),
     ("cluster", None),
@@ -459,6 +463,9 @@ REAL_SIGMA_MODELS = [
 @pytest.mark.parametrize("name, theta", REAL_SIGMA_MODELS)
 def test_exactly_real_sigma_takes_real_eigh_and_matches_complex_route(name, theta, monkeypatch):
     model = catalog.get(name, theta=theta).model
+    # GHZ and cluster have orthogonal emission rows: their diagonal route runs no eigh,
+    # and the reference is the dense route's complex eigh
+    diagonal = name in ("ghz", "cluster")
     eigh = np.linalg.eigh
     checked = 0
     for n in range(1, 9):
@@ -468,11 +475,13 @@ def test_exactly_real_sigma_takes_real_eigh_and_matches_complex_route(name, thet
         with monkeypatch.context() as patch:
             patch.setattr(np.linalg, "eigh", lambda a: dtypes.append(a.dtype) or eigh(a))
             real = check_bound(model, n)
-        assert dtypes == [np.float64]
+        assert dtypes == ([] if diagonal else [np.float64])
         dtypes.clear()
         with monkeypatch.context() as patch:
             patch.setattr(np.linalg, "eigh", lambda a: dtypes.append(a.dtype) or eigh(a))
             patch.setattr(entropy, "_descending_eigh", _complex_eigh)
+            if diagonal:
+                patch.setattr(EhmmModel, "_gram_diagonal", DENSE_ROUTE)
             ref = check_bound(model, n)
         assert dtypes == [np.complex128]
         for field in ("s_value", "s_diag", "rhs_value", "s_value_normalized", "s_diag_normalized",
@@ -483,6 +492,116 @@ def test_exactly_real_sigma_takes_real_eigh_and_matches_complex_route(name, thet
         assert (real.holds, real.holds_normalized) == (ref.holds, ref.holds_normalized)
         checked += 1
     assert checked == (6 if name == "aklt-derived" else 8)
+
+
+# ---- the diagonal route (orthogonal emission rows) against the dense route ----
+
+
+def orthonormal_emission_model():
+    """m=2, d=3 on six sites; each chi_l holds two orthonormal rows whose Gram has exact zeros."""
+    s = 1 / math.sqrt(2.0)
+    chis = (np.array([[s, s, 0], [0, 0, 1j]]), np.array([[0, 1j, 0], [s, 0, -s]]))
+    base = catalog.random_model(2, 3, 6, 83)
+    return EhmmModel(base.pi, base.hidden, tuple(chis[l % 2] for l in range(6)))
+
+
+def scaled_cluster():
+    """The cluster with chi scaled by 1 + 5e-12: valid rows, squared norms g = 1 + 1e-11."""
+    cluster = catalog.get("cluster").model
+    return EhmmModel(cluster.pi, cluster.hidden, ((1 + 5e-12) * cluster.emission[0],), True)
+
+
+DIAGONAL_ROUTE_MODELS = [
+    ("ghz", catalog.get("ghz").model),
+    ("cluster", catalog.get("cluster").model),
+    ("pinned", pinned_model()),
+    ("orthonormal(m=2,d=3)", orthonormal_emission_model()),
+    ("cluster(g=1+1e-11)", scaled_cluster()),
+]
+
+BOUND_FIELDS = ("s_value", "s_diag", "rhs_value", "s_value_normalized", "s_diag_normalized",
+                "rhs_value_normalized", "trace_rho", "trace_sigma")
+
+
+@pytest.mark.parametrize("name, model", DIAGONAL_ROUTE_MODELS, ids=[c[0] for c in DIAGONAL_ROUTE_MODELS])
+def test_diagonal_route_equals_dense_route(name, model, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the diagonal route formed sigma or ran eigh")
+
+    g = model._gram_diagonal
+    assert g is not None
+    if name == "cluster(g=1+1e-11)":
+        assert np.all(np.abs(g - 1 - 1e-11) <= 1e-15)
+    n = 1
+    while model.d ** (2 * n) <= DEFAULT_SIZE_CAP:  # every N the dense route admits
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "eigh", refuse)
+            patch.setattr(DensityMatrix, "__post_init__", refuse)
+            diagonal = check_bound(model, n)
+        with monkeypatch.context() as patch:
+            patch.setattr(EhmmModel, "_gram_diagonal", DENSE_ROUTE)
+            dense = check_bound(model, n)
+        for field in BOUND_FIELDS:
+            got, want = getattr(diagonal, field), getattr(dense, field)
+            assert math.isinf(got) == math.isinf(want), (name, n, field)
+            assert got == want or abs(got - want) <= 1e-10, (name, n, field, got, want)
+        assert (diagonal.holds, diagonal.holds_normalized) == (dense.holds, dense.holds_normalized)
+        if name == "pinned":
+            assert diagonal.s_value == math.inf
+        n += 1
+    assert n - 1 == (6 if model.d == 3 else 11)
+
+
+def test_diagonal_route_follows_the_emission_row_norms(monkeypatch):
+    # row norms off by about 1e-11 move S by about 1e-11, which these checks resolve
+    # chi scaled by c multiplies sigma by c^(2N) and leaves v, so S drops by exactly 2N ln c
+    c = 1 + 5e-12
+    for n in (1, 2, 5, 8, 11):
+        want = check_bound(catalog.get("cluster").model, n).s_value_normalized - 2 * n * math.log(c)
+        assert abs(check_bound(scaled_cluster(), n).s_value_normalized - want) <= 1e-13
+    # rows scaled apart, site by site: the dense route agrees to rounding
+    base = orthonormal_emission_model()
+    model = EhmmModel(base.pi, base.hidden, tuple(
+        np.array([[1 + 7e-12 * l], [1 - 5e-12 * l]]) * chi for l, chi in enumerate(base.emission, 1)
+    ))
+    for n in range(1, 7):
+        got = check_bound(model, n).s_value_normalized
+        with monkeypatch.context() as patch:
+            patch.setattr(EhmmModel, "_gram_diagonal", DENSE_ROUTE)
+            want = check_bound(model, n).s_value_normalized
+        assert abs(got - want) <= 1e-13, n
+
+
+@pytest.mark.parametrize("n", [16, 20])
+def test_cluster_diagonal_route_gives_n_ln_2(n):
+    rep = check_bound(catalog.get("cluster").model, n)
+    assert abs(rep.s_value_normalized - n * math.log(2.0)) <= 1e-10
+    assert rep.holds and rep.holds_normalized
+
+
+def test_ghz_diagonal_route_gives_ln_2_at_n_20():
+    rep = check_bound(catalog.get("ghz").model, 20)
+    assert abs(rep.s_value - math.log(2.0)) <= 1e-10
+    assert rep.holds and rep.holds_normalized
+
+
+def test_diagonal_route_is_refused_by_the_state_cap_first():
+    with pytest.raises(ValueError, match="^state of 8388608 entries exceeds size cap 4194304$"):
+        check_bound(catalog.get("cluster").model, 23)
+
+
+def test_rank_one_divergence_is_the_rank_one_case_of_the_support_rule():
+    rng = np.random.default_rng(84)
+    for dim in (1, 2, 5, 40):
+        vals = rng.random(dim)
+        vals[rng.random(dim) < 0.3] = 0.0
+        if not vals.any():
+            vals[0] = 1.0
+        weights = rng.random(dim)
+        weights /= weights.sum()
+        for w in (weights, np.where(vals > 0, weights, 0.0)):
+            want = entropy._divergence(np.ones(1), vals, w[None])
+            assert entropy._rank_one_divergence(vals, w, dim) == want
 
 
 def test_check_bound_ghz_beyond_joint_outer_product_reach():
@@ -524,6 +643,15 @@ def test_density_builders_share_one_size_cap():
         assert route(4).dim == 16
         with pytest.raises(ValueError, match=f"^{what} of 1024 entries exceeds size cap 600$"):
             route(5)
+
+
+def test_formula_cap_counts_the_second_half_chain():
+    # m=8, d=2, N=2: 16 matrix entries, but the second half's chain over pair words holds 8^2 * 2^2
+    t = random_site_tensors(np.random.default_rng(85), 8, 2, 2)
+    pi = np.full(8, 1 / 8)
+    with pytest.raises(ValueError, match="^second-half chain of 256 entries exceeds size cap 255$"):
+        observation_density_formula(t, pi, 2, size_cap=255)
+    assert observation_density_formula(t, pi, 2, size_cap=256).dim == 4
 
 
 @pytest.mark.parametrize("n", [12, 22])

@@ -206,6 +206,18 @@ def test_build_state_peak_memory_near_output_size():
     assert peak <= 1.2 * entries.nbytes
 
 
+def test_build_state_cap_counts_the_second_half_chain():
+    # m=400, d=2, N=10: a 1024-word state, but the second half's chain holds 400^2 * 2^5 entries
+    t = random_site_tensors(np.random.default_rng(8), 400, 2, 10, translation_invariant=True)
+    with pytest.raises(ValueError, match="^second-half chain of 5120000 entries exceeds size cap 4194304$"):
+        build_state(t, 10)
+    # m=8, d=2, N=4: 16 words, a chain of 8^2 * 2^2 = 256 entries, refused exactly above it
+    t = random_site_tensors(np.random.default_rng(9), 8, 2, 4)
+    with pytest.raises(ValueError, match="^second-half chain of 256 entries exceeds size cap 255$"):
+        build_state(t, 4, size_cap=255)
+    assert build_state(t, 4, size_cap=256).dim == 16
+
+
 def test_build_state_equals_the_kernel_with_an_explicit_identity_boundary():
     # build_state leaves the identity boundary out; multiplying by it changes no entry
     cases = [(catalog.get(name).tensors, n) for name in ("aklt", "cluster") for n in (1, 2, 5, 6)]

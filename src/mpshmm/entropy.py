@@ -289,24 +289,26 @@ def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     return _divergence(vals_r, vals_s, overlap)
 
 
-def _word_weights(
-    t: SiteTensorSet, pi: np.ndarray, n_sites: int, psi: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """The dephased pair word by word: p = |Tr prod A|^2 / m and q = pi^T (prod A o conj A) 1.
+def _mps_weights(psi: np.ndarray, m: int) -> np.ndarray:
+    """p = |Tr prod A|^2 / m word by word, from the `build_state` entries ``psi``.
 
-    ``psi`` holds the trace coefficients Tr prod A (the `build_state`
-    entries), so p is the diagonal of (1/m)|psi><psi| and sums to its trace.
-    q is the diagonal of the observation density by the Schur formula, from
-    one boundary-vector contraction over the real family |A_k|^2.  Its
-    second-half chain has the m^2 d^floor(N/2) entries that `build_state`,
-    which both callers run first under the same cap, counts.
+    p is the diagonal of (1/m)|psi><psi|, so it sums to its trace.
     """
     p = np.abs(psi)
     p **= 2
-    p /= t.m
+    p /= m
+    return p
+
+
+def _formula_weights(t: SiteTensorSet, pi: np.ndarray, n_sites: int) -> np.ndarray:
+    """q = pi^T (prod A o conj A) 1 word by word: the Schur-formula observation diagonal.
+
+    One boundary-vector contraction over the real family |A_k|^2.  Its
+    second-half chain has the m^2 d^floor(N/2) entries that `build_state`,
+    which both callers run first under the same cap, counts.
+    """
     squares = _over_sites(t._square_steps, t.translation_invariant, n_sites)
-    q = _word_sums(squares, pi[None], np.ones((t.m, 1)))
-    return p, q
+    return _word_sums(squares, pi[None], np.ones((t.m, 1)))
 
 
 def bound_rhs(
@@ -325,15 +327,14 @@ def bound_rhs(
     boundary-vector form over the family |A_k|^2.
     """
     pi = _require_pi(pi, t.m)
-    psi = build_state(t, n_sites).entries
-    p, q = _word_weights(t, pi, n_sites, psi)
+    p = _mps_weights(build_state(t, n_sites).entries, t.m)
     trace = float(p.sum())
     if trace <= 0.0:
         if trace_normalized:
             raise ValueError("cannot trace-normalize a zero state")
         return 0.0
     p /= trace
-    (value,) = _word_divergences(p, q)
+    (value,) = _word_divergences(p, _formula_weights(t, pi, n_sites))
     return value if trace_normalized else _unscaled(value, trace)
 
 
@@ -395,7 +396,9 @@ def check_bound(
     support), so criterion 5's identity (RHS = dephased S) compares like
     with like.  The literal values, for (1/m)|psi><psi| with trace t =
     |psi|^2 / m, follow exactly as t * S + t ln t, because the rule is
-    scale-invariant.  The model was validated when it was built.
+    scale-invariant.  The model was validated when it was built.  p and S
+    come first; psi is dropped before diag(sigma) and the Schur-formula
+    word sums are formed, so neither overlaps the state or S's temporaries.
 
     sigma's spectrum comes from one of two routes, chosen once per model:
 
@@ -430,21 +433,24 @@ def check_bound(
         vals, vecs = _spectrum(sigma)
     t = tensors_from_ehmm(model, require_unitary=False)
     psi = build_state(t, n_sites, size_cap).entries
-
-    p, q_formula = _word_weights(t, model.pi, n_sites, psi)
+    p = _mps_weights(psi, t.m)
     trace_rho = float(p.sum())
     if trace_rho <= 0.0:
         raise ValueError("cannot normalize a traceless density matrix")
     p /= trace_rho
     if g is None:
         v = psi / math.sqrt(trace_rho * t.m)
+        del psi
         s_value = _rank_one_divergence(vals, np.abs(v.conj() @ vecs) ** 2, sigma.dim)
+        del v, vecs
         q = np.diag(sigma.matrix).real
         trace_sigma = sigma.trace_value
     else:
-        s_value, q = _diagonal_route(model, n_sites, g, psi, trace_rho * t.m)
+        s_value = _diagonal_route(model, n_sites, g, psi, trace_rho * t.m)
+        del psi
+        q = _dephased_diagonal(model, n_sites)
         trace_sigma = float(q.sum())
-    rhs_value, s_diag = _word_divergences(p, q_formula, q)
+    rhs_value, s_diag = _word_divergences(p, _formula_weights(t, model.pi, n_sites), q)
 
     return BoundReport(
         trace_rho=trace_rho,
@@ -458,8 +464,8 @@ def check_bound(
 
 def _diagonal_route(
     model: EhmmModel, n_sites: int, g: np.ndarray, psi: np.ndarray, norm_sq: float
-) -> tuple[float, np.ndarray]:
-    """S(|v><v| || sigma), v = psi / sqrt(norm_sq), and diag(sigma), for diagonal emission Grams.
+) -> float:
+    """S(|v><v| || sigma), v = psi / sqrt(norm_sq), for diagonal emission Grams.
 
     ``g`` is the (L, m) stack of those Grams' diagonals.  The weights are
     |w_i|^2 / norm_sq with w = K^H psi / sqrt(prod_l g_l), N mode products
@@ -467,8 +473,7 @@ def _diagonal_route(
     chain and appends the hidden index last, one GEMM.  The eigenvalues
     P(i) prod_l g_l(i_l) are the hidden chain from pi over the m^N paths,
     each step |U_l|^2 g_{l+1} and the last |U_N|^2 summed over its target.
-    The cut is taken at sigma's dimension d^N.  diag(sigma) is sigma's pair
-    chain over the d symbols (k, k) alone, whose entries are real.
+    The cut is taken at sigma's dimension d^N.
     """
     m, d, ti = model.m, model.d, model.translation_invariant
     modes = _over_sites(model._emission.conj() / np.sqrt(g)[..., None], ti, n_sites)
@@ -485,11 +490,14 @@ def _diagonal_route(
     for step in trans[:-1] * g_sites[1:, None]:  # |U_l|^2[i, j] g_{l+1}[j]
         eig = (eig.reshape(-1, m, 1) * step).reshape(-1)
     eig = (eig.reshape(-1, m) * trans[-1].sum(axis=1)).reshape(-1)
-    s_value = _rank_one_divergence(eig, weights, d**n_sites)
-    del weights, eig
+    return _rank_one_divergence(eig, weights, d**n_sites)
 
+
+def _dephased_diagonal(model: EhmmModel, n_sites: int) -> np.ndarray:
+    """diag(sigma): sigma's pair chain over the d symbols (k, k) alone, whose entries are real."""
+    m, d, ti = model.m, model.d, model.translation_invariant
     stored = model._pair_steps
     steps = stored.reshape(*stored.shape[:2], d * d, m)[:, :, :: d + 1].real  # a view: symbols (k, k)
     steps = _over_sites(np.ascontiguousarray(steps).reshape(stored.shape[0], m, -1), ti, n_sites)
     last = _over_sites(np.ascontiguousarray(model._pair_last[:, :, :: d + 1].real), ti, n_sites)[-1]
-    return s_value, _sum_chain(model.pi[None], [*steps[:-1], last]).reshape(-1)
+    return _sum_chain(model.pi[None], [*steps[:-1], last]).reshape(-1)

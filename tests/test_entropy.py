@@ -895,6 +895,19 @@ def test_check_bound_peak_memory_is_sigma_plus_eigenvectors():
     assert peak <= 2.5 * 16 * 4**8
 
 
+def test_check_bound_diagonal_route_peaks_near_four_state_arrays():
+    # psi is dropped before diag(sigma) and the Schur-formula word sums are formed
+    model = catalog.get("cluster").model
+    check_bound(model, 16)
+    tracemalloc.start()
+    try:
+        check_bound(model, 16)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.1 * 16 * 2**16
+
+
 # ---- the scale-aware support rule ----
 
 
